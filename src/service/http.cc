@@ -1,12 +1,6 @@
 #include "service/http.hh"
 
-#include <cerrno>
-#include <chrono>
 #include <cstdlib>
-#include <list>
-#include <poll.h>
-#include <sys/socket.h>
-#include <vector>
 
 #include "common/logging.hh"
 #include "service/net.hh"
@@ -26,8 +20,6 @@ constexpr int kIoTimeoutMs = 2000;
 // immediately (a scraper retries, an fd-exhaustion attack does not
 // get to hold descriptors).
 constexpr std::size_t kMaxHttpConns = 32;
-
-using HttpClock = std::chrono::steady_clock;
 
 const char *
 statusText(int status)
@@ -84,21 +76,55 @@ queryParam(const std::string &query, const std::string &key)
 }
 
 /**
- * One in-flight scraper connection. Reading until the header block
- * ends, then writing the rendered response; `deadline` bounds the
- * whole exchange, so neither a trickled request nor an unread
- * response can hold the fd past kIoTimeoutMs.
+ * One in-flight scraper connection: read until the header block
+ * ends, then write the rendered response and hang up. It is never
+ * busy() and never touch()ed, so the loop's idle timer is a deadline
+ * on the whole exchange: neither a trickled request nor an unread
+ * response holds the fd past kIoTimeoutMs.
  */
-struct HttpServer::HttpConn
+struct HttpServer::HttpConn final : BufferedConn
 {
-    int fd = -1;
-    std::string in;
-    std::string out; //!< empty while still reading the request
-    std::size_t outPos = 0;
-    HttpClock::time_point deadline;
+    HttpConn(HttpServer &owner, int fd)
+        : BufferedConn(owner.loop_, fd), server(owner)
+    {
+    }
 
-    bool writing() const { return !out.empty(); }
+    void onReadable() override
+    {
+        const std::uint8_t *data = nullptr;
+        const std::size_t n = receive(data);
+        if (n == 0)
+            return;
+        in.append(reinterpret_cast<const char *>(data), n);
+        if (in.size() > kMaxHeaderBytes) {
+            close();
+            return;
+        }
+        if (in.find("\r\n\r\n") == std::string::npos &&
+            in.find("\n\n") == std::string::npos)
+            return;
+        const std::string out =
+            renderResponse(server.buildResponse(in));
+        auto &chunk = outChunk();
+        chunk.insert(chunk.end(), out.begin(), out.end());
+        stopReading();
+        pump();
+    }
+
+    /** HTTP/1.0, no keep-alive: hang up once the answer is out. */
+    void pump() override
+    {
+        if (flush() && readClosed() && !hasOutput())
+            close();
+    }
+
+    bool busy() const override { return false; }
+
+    HttpServer &server;
+    std::string in;
 };
+
+HttpServer::HttpServer() : loop_({}, 0, kIoTimeoutMs) {}
 
 void
 HttpServer::route(const std::string &path, Handler handler)
@@ -113,24 +139,27 @@ HttpServer::start(std::uint16_t port, std::string *err)
     if (listenFd_ < 0)
         return false;
     port_ = boundPort(listenFd_);
-    setNonBlocking(listenFd_);
-    stop_ = false;
-    thread_ = std::thread([this] { loop(); });
+    loop_.listen(listenFd_, [this](int fd) { handleAccept(fd); });
+    loop_.start();
     return true;
 }
 
 void
 HttpServer::stop()
 {
-    if (!thread_.joinable())
-        return;
-    stop_ = true;
-    // The loop polls with a timeout, so closing the listen fd here
-    // (after the flag) just accelerates the wakeup.
-    shutdownRead(listenFd_);
-    thread_.join();
+    loop_.requestDrain();
+    loop_.join();
     closeFd(listenFd_);
     listenFd_ = -1;
+}
+
+void
+HttpServer::handleAccept(int fd)
+{
+    if (loop_.clients() >= kMaxHttpConns)
+        closeFd(fd);
+    else
+        loop_.add(std::make_unique<HttpConn>(*this, fd));
 }
 
 HttpResponse
@@ -156,104 +185,6 @@ HttpServer::buildResponse(const std::string &head) const
     if (it == routes_.end())
         return {404, "text/plain; charset=utf-8", "not found\n"};
     return it->second(req);
-}
-
-void
-HttpServer::loop()
-{
-    std::list<HttpConn> conns;
-    std::vector<pollfd> pfds;
-    char buf[4096];
-    while (!stop_) {
-        pfds.clear();
-        pfds.push_back({listenFd_, POLLIN, 0});
-        for (const HttpConn &c : conns)
-            pfds.push_back(
-                {c.fd,
-                 static_cast<short>(c.writing() ? POLLOUT : POLLIN),
-                 0});
-        const int rc = ::poll(pfds.data(),
-                              static_cast<nfds_t>(pfds.size()), 200);
-        if (stop_)
-            break;
-        if (rc < 0 && errno != EINTR)
-            break;
-
-        if ((pfds[0].revents & POLLIN) != 0) {
-            int fd;
-            while ((fd = ::accept(listenFd_, nullptr, nullptr)) >=
-                   0) {
-                if (conns.size() >= kMaxHttpConns) {
-                    closeFd(fd);
-                    continue;
-                }
-                setNoDelay(fd);
-                setNonBlocking(fd);
-                conns.push_back(
-                    {fd,
-                     {},
-                     {},
-                     0,
-                     HttpClock::now() +
-                         std::chrono::milliseconds(kIoTimeoutMs)});
-            }
-        }
-
-        const auto now = HttpClock::now();
-        std::size_t pi = 1;
-        for (auto it = conns.begin(); it != conns.end();) {
-            HttpConn &c = *it;
-            const short revents =
-                pi < pfds.size() ? pfds[pi].revents : 0;
-            ++pi;
-            bool dead = false;
-            if (!c.writing() && (revents & (POLLIN | POLLHUP)) != 0) {
-                const long n = readSome(c.fd, buf, sizeof(buf));
-                if (n > 0) {
-                    c.in.append(buf, static_cast<std::size_t>(n));
-                    if (c.in.size() > kMaxHeaderBytes) {
-                        dead = true;
-                    } else if (c.in.find("\r\n\r\n") !=
-                                   std::string::npos ||
-                               c.in.find("\n\n") !=
-                                   std::string::npos) {
-                        c.out = renderResponse(buildResponse(c.in));
-                    }
-                } else if (n == 0 ||
-                           (errno != EAGAIN &&
-                            errno != EWOULDBLOCK)) {
-                    dead = true;
-                }
-            }
-            if (!dead && c.writing() &&
-                (revents & (POLLOUT | POLLERR | POLLHUP)) != 0) {
-                const long w = writeSome(c.fd, c.out.data() + c.outPos,
-                                         c.out.size() - c.outPos);
-                if (w < 0) {
-                    dead = true;
-                } else {
-                    c.outPos += static_cast<std::size_t>(w);
-                    if (c.outPos == c.out.size()) {
-                        ++served_;
-                        dead = true; // done: HTTP/1.0, no keep-alive
-                    }
-                }
-            }
-            // The overall deadline is the wedge-proofing: a scraper
-            // that connects and never reads (or never finishes its
-            // request) is cut loose here while others keep going.
-            if (!dead && now >= c.deadline)
-                dead = true;
-            if (dead) {
-                closeFd(c.fd);
-                it = conns.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-    for (HttpConn &c : conns)
-        closeFd(c.fd);
 }
 
 bool

@@ -3,15 +3,15 @@
  * A deliberately tiny HTTP/1.0 responder for the daemon's
  * observability endpoints (/metrics, /healthz, /varz). It is NOT a
  * general web server: GET only, no keep-alive, no chunked encoding,
- * exact-path routing, a handful of non-blocking connections
- * poll-multiplexed on a single thread. That is exactly what a
- * Prometheus scraper or `curl` needs, and it keeps the attack/bug
- * surface near zero - a stuck or slow scraper can never back-pressure
- * the serving data path (separate thread, lock-free handoff) and can
- * never wedge the responder either: every connection carries an
- * overall deadline, so a peer that connects and never reads (or
- * trickles its request) is dropped while other scrapers keep being
- * answered.
+ * exact-path routing, a handful of non-blocking connections on its
+ * own service::EventLoop thread (the router's /metrics makes blocking
+ * scrapes of its daemons, which must never stall a data loop). That
+ * is exactly what a Prometheus scraper or `curl` needs, and it keeps
+ * the attack/bug surface near zero - a stuck or slow scraper can
+ * never back-pressure the serving data path and can never wedge the
+ * responder either: every connection carries an overall deadline, so
+ * a peer that connects and never reads (or trickles its request) is
+ * dropped while other scrapers keep being answered.
  *
  * The matching httpGet() client helper exists so fracdram_top, the
  * load generator and the tests can scrape without curl.
@@ -20,12 +20,12 @@
 #ifndef FRACDRAM_SERVICE_HTTP_HH
 #define FRACDRAM_SERVICE_HTTP_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
-#include <thread>
+
+#include "service/event_loop.hh"
 
 namespace fracdram::service
 {
@@ -52,7 +52,7 @@ class HttpServer
   public:
     using Handler = std::function<HttpResponse(const HttpRequest &)>;
 
-    HttpServer() = default;
+    HttpServer();
     ~HttpServer() { stop(); }
     HttpServer(const HttpServer &) = delete;
     HttpServer &operator=(const HttpServer &) = delete;
@@ -69,23 +69,20 @@ class HttpServer
     /** Port actually bound (valid after start()). */
     std::uint16_t port() const { return port_; }
 
-    /** Join the serving thread and close the socket; idempotent. */
+    /** Drain and join the serving thread, close the socket;
+     *  idempotent. */
     void stop();
-
-    std::uint64_t requestsServed() const { return served_; }
 
   private:
     struct HttpConn;
 
-    void loop();
+    void handleAccept(int fd);
     HttpResponse buildResponse(const std::string &head) const;
 
     std::map<std::string, Handler> routes_;
     int listenFd_ = -1;
     std::uint16_t port_ = 0;
-    std::thread thread_;
-    std::atomic<bool> stop_{false};
-    std::atomic<std::uint64_t> served_{0};
+    EventLoop loop_; //!< last: its thread uses everything above
 };
 
 /** Status + body of one httpGet() exchange. */

@@ -141,15 +141,12 @@ setNonBlocking(int fd)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-namespace
-{
-
 int
-waitEvent(int fd, short ev, int timeout_ms)
+waitReadable(int fd, int timeout_ms)
 {
     pollfd pfd{};
     pfd.fd = fd;
-    pfd.events = ev;
+    pfd.events = POLLIN;
     int rc;
     do {
         rc = ::poll(&pfd, 1, timeout_ms);
@@ -162,20 +159,6 @@ waitEvent(int fd, short ev, int timeout_ms)
         return -1;
     // POLLHUP with pending bytes still reads; let read() see EOF.
     return 1;
-}
-
-} // namespace
-
-int
-waitReadable(int fd, int timeout_ms)
-{
-    return waitEvent(fd, POLLIN, timeout_ms);
-}
-
-int
-waitWritable(int fd, int timeout_ms)
-{
-    return waitEvent(fd, POLLOUT, timeout_ms);
 }
 
 bool

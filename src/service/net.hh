@@ -2,7 +2,7 @@
  * @file
  * Thin POSIX socket helpers shared by the server, the client library
  * and the load generator: loopback listen/connect, partial-write-safe
- * writeAll, EINTR-safe reads, and poll-based readiness waits. All
+ * writeAll, EINTR-safe reads, and a poll-based readiness wait. All
  * functions report errors through an out-parameter string instead of
  * errno so call sites can log one coherent line.
  */
@@ -46,10 +46,10 @@ void setNoDelay(int fd);
 void setSendTimeout(int fd, int timeout_ms);
 
 /**
- * shutdown(2) the read side only: wakes a thread blocked in
- * read/poll (it sees EOF) while leaving the write side open so
- * responses already owed to the peer can still be delivered; a
- * stalled send is bounded by SO_SNDTIMEO instead.
+ * shutdown(2) the read side only: the loop's next read sees EOF while
+ * the write side stays open, so responses already owed to the peer
+ * can still be delivered; a stalled send is bounded by the event
+ * loop's write-stall timer.
  */
 void shutdownRead(int fd);
 
@@ -61,12 +61,6 @@ void setNonBlocking(int fd);
  * @return 1 readable, 0 timeout, -1 error/hangup
  */
 int waitReadable(int fd, int timeout_ms);
-
-/**
- * Wait until @p fd is writable.
- * @return 1 writable, 0 timeout, -1 error/hangup
- */
-int waitWritable(int fd, int timeout_ms);
 
 /** Write all @p len bytes (loops over partial writes and EINTR). */
 bool writeAll(int fd, const void *data, std::size_t len,
@@ -87,7 +81,7 @@ long writeSome(int fd, const void *data, std::size_t len);
 
 /**
  * One gathering write (sendmsg + MSG_NOSIGNAL, retrying EINTR) - the
- * reactor's batched-response flush.
+ * event loop's batched write-queue flush.
  * @return bytes written, 0 when the socket buffer is full (EAGAIN),
  *         -1 on a dead peer or hard error
  */

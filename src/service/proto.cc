@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/logging.hh"
+#include "service/net.hh"
 
 namespace fracdram::service
 {
@@ -382,6 +383,40 @@ decodeResponse(const std::uint8_t *payload, std::size_t len,
     return true;
 }
 
+Response
+replyTo(const Request &req, Status status, std::string text)
+{
+    Response resp;
+    resp.type = req.type;
+    resp.seq = req.seq;
+    resp.status = status;
+    resp.text = std::move(text);
+    echoRequestId(resp, req);
+    return resp;
+}
+
+Response
+badFrameReply(const std::vector<std::uint8_t> *payload, std::string err)
+{
+    Request synthetic;
+    synthetic.type = MsgType::Health;
+    if (payload != nullptr && payload->size() >= 4)
+        synthetic.seq = static_cast<std::uint16_t>(
+            (*payload)[2] | ((*payload)[3] << 8));
+    return replyTo(synthetic, Status::Error, std::move(err));
+}
+
+void
+refuseConnection(int fd)
+{
+    Request health;
+    health.type = MsgType::Health;
+    const auto out = frame(encodeResponse(
+        replyTo(health, Status::Busy, "connection limit reached")));
+    writeAll(fd, out.data(), out.size(), nullptr);
+    closeFd(fd);
+}
+
 std::vector<std::uint8_t>
 frame(const std::vector<std::uint8_t> &payload)
 {
@@ -390,9 +425,16 @@ frame(const std::vector<std::uint8_t> &payload)
              payload.size(), kMaxFrameBytes);
     std::vector<std::uint8_t> out;
     out.reserve(4 + payload.size());
+    appendFrame(out, payload);
+    return out;
+}
+
+void
+appendFrame(std::vector<std::uint8_t> &out,
+            const std::vector<std::uint8_t> &payload)
+{
     putU32(out, static_cast<std::uint32_t>(payload.size()));
     out.insert(out.end(), payload.begin(), payload.end());
-    return out;
 }
 
 std::vector<std::uint8_t>

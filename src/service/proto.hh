@@ -172,6 +172,25 @@ echoRequestId(Response &resp, const Request &req)
     }
 }
 
+/** A @p status answer to @p req carrying @p text (seq and id echoed). */
+Response replyTo(const Request &req, Status status, std::string text);
+
+/**
+ * ERROR answer to a frame that cannot be decoded, echoing the raw
+ * header seq when @p payload holds one (nullptr for a stream poisoned
+ * by an oversized length prefix). Front ends hang up after it: the
+ * stream cannot be trusted to stay aligned.
+ */
+Response badFrameReply(const std::vector<std::uint8_t> *payload,
+                       std::string err);
+
+/**
+ * Refuse a fresh connection at the connection cap: one BUSY
+ * "connection limit reached" frame, then close. A fresh socket takes
+ * one small frame without blocking.
+ */
+void refuseConnection(int fd);
+
 /** @name Frame payload encode / decode (length prefix excluded) */
 /// @{
 std::vector<std::uint8_t> encodeRequest(const Request &req);
@@ -186,6 +205,10 @@ bool decodeResponse(const std::uint8_t *payload, std::size_t len,
 
 /** Prepend the u32le length prefix to a payload. */
 std::vector<std::uint8_t> frame(const std::vector<std::uint8_t> &payload);
+
+/** Append `u32le len | payload` onto @p out. */
+void appendFrame(std::vector<std::uint8_t> &out,
+                 const std::vector<std::uint8_t> &payload);
 
 /**
  * Append `u32le len | payload` for @p resp directly onto @p out.

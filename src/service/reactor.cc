@@ -1,17 +1,10 @@
 #include "service/reactor.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <cstdlib>
 #include <ctime>
-#include <deque>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "common/logging.hh"
 #include "service/net.hh"
@@ -23,15 +16,6 @@ namespace fracdram::service
 
 namespace
 {
-
-/** Per-connection write queue chunk size (frames never split). */
-constexpr std::size_t kChunkBytes = 64 * 1024;
-
-/** iovecs per writev - deep queues drain over a few calls. */
-constexpr int kMaxIov = 8;
-
-/** Housekeeping cadence (idle scan, write-stall scan). */
-constexpr std::uint64_t kTickNs = 100'000'000ull;
 
 struct ConnCounters
 {
@@ -73,16 +57,6 @@ connCounters()
 {
     static const ConnCounters c;
     return c;
-}
-
-/** Monotonic clock for timeouts (independent of telemetry). */
-std::uint64_t
-monoNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
 }
 
 /**
@@ -135,18 +109,6 @@ class TokenBucket
     std::chrono::steady_clock::time_point last_;
 };
 
-Response
-quickResponse(const Request &req, Status status, std::string text)
-{
-    Response resp;
-    resp.type = req.type;
-    resp.seq = req.seq;
-    resp.status = status;
-    resp.text = std::move(text);
-    echoRequestId(resp, req);
-    return resp;
-}
-
 /** Turn a completed timeline into pid-3 Chrome trace lanes. */
 void
 emitRequestSpans(const RequestTimeline &t)
@@ -194,11 +156,9 @@ reactorPhaseName(int phase)
 /**
  * One connection, touched only by its owning reactor thread. The
  * pending window holds one Slot per decoded frame in arrival order;
- * baseSeq is the absolute index of pending.front(), so a completion
- * for absolute index a lands in pending[a - baseSeq] (u32 arithmetic,
- * wrap-safe). Only the ready prefix is encoded into outq.
+ * only its ready prefix is encoded into the write queue.
  */
-struct Reactor::Conn
+struct Reactor::Conn final : BufferedConn
 {
     struct Slot
     {
@@ -208,44 +168,59 @@ struct Reactor::Conn
         bool ready = false;
     };
 
-    explicit Conn(double rate_per_sec) : bucket(rate_per_sec) {}
+    Conn(Reactor &owner, int fd, std::uint32_t conn_id,
+         double rate_per_sec)
+        : BufferedConn(owner.loop_, fd), reactor(owner), id(conn_id),
+          bucket(rate_per_sec)
+    {
+    }
 
-    int fd = -1;
-    std::uint32_t id = 0;
+    void onReadable() override
+    {
+        reactor.setPhase(ReactorPhase::Read);
+        reactor.handleReadable(this);
+    }
+
+    void onWritable() override
+    {
+        reactor.setPhase(ReactorPhase::Write);
+        pump();
+    }
+
+    void pump() override { reactor.pumpConn(this); }
+
+    bool busy() const override { return !pending.empty() || hasOutput(); }
+
+    void onClose() override { reactor.connClosed(this); }
+
+    Reactor &reactor;
+    const std::uint32_t id;
     FrameReader reader;
     TokenBucket bucket;
-    std::deque<Slot> pending;
-    std::uint32_t baseSeq = 0; //!< absolute index of pending.front()
-    std::uint32_t nextSeq = 0; //!< absolute index of the next frame
-    std::deque<std::vector<std::uint8_t>> outq;
-    std::size_t outPos = 0;   //!< consumed bytes of outq.front()
-    std::size_t outBytes = 0; //!< total unflushed bytes
+    OrderedWindow<Slot> pending;
     std::vector<RequestTimeline> traced; //!< encoded, not yet stamped
-    std::uint64_t lastActiveNs = 0;
-    std::uint64_t stallSinceNs = 0; //!< first EAGAIN, 0 = no stall
     std::size_t framesSinceFlush = 0;
-    bool wantWrite = false; //!< EPOLLOUT currently armed
-    bool readClosed = false;
 };
 
 Reactor::Reactor(Server &server, int index, int pin_cpu,
                  int listen_fd)
     : server_(server), index_(index), pinCpu_(pin_cpu),
-      listenFd_(listen_fd), rdbuf_(64 * 1024)
+      loop_(
+          {[this] {
+               setPhase(ReactorPhase::Control);
+               handleWake();
+           },
+           [this](std::uint64_t, std::uint64_t late_ns) {
+               // Lateness beyond the 100ms cadence is loop lag: time
+               // the loop spent working (or stuck) instead of ticking.
+               telemetry::observe(lagHist_, late_ns);
+               setPhase(ReactorPhase::Tick);
+           },
+           [this](int n_events) { endTurn(n_events); }},
+          server.cfg_.writeTimeoutMs, server.cfg_.idleTimeoutMs)
 {
-    epollFd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    fatal_if(epollFd_ < 0, "epoll_create1: %s", std::strerror(errno));
-    eventFd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    fatal_if(eventFd_ < 0, "eventfd: %s", std::strerror(errno));
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = eventFd_;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, eventFd_, &ev);
-    if (listenFd_ >= 0) {
-        setNonBlocking(listenFd_);
-        ev.data.fd = listenFd_;
-        ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, listenFd_, &ev);
-    }
+    if (listen_fd >= 0)
+        loop_.listen(listen_fd, [this](int fd) { handleAccept(fd); });
     auto &m = telemetry::Metrics::instance();
     connsGauge_ = m.gauge(strprintf("service.reactor%d.conns", index));
     heartbeatGauge_ =
@@ -284,33 +259,12 @@ Reactor::setPhase(ReactorPhase p)
     telemetry::setGauge(phaseGauge_, static_cast<int>(p));
 }
 
-Reactor::~Reactor()
-{
-    join();
-    for (auto &kv : conns_)
-        closeFd(kv.second->fd);
-    closeFd(eventFd_);
-    closeFd(epollFd_);
-}
-
-void
-Reactor::start()
-{
-    thread_ = std::thread(&Reactor::run, this);
-}
-
 void
 Reactor::join()
 {
-    if (thread_.joinable())
-        thread_.join();
-}
-
-void
-Reactor::requestDrain()
-{
-    draining_.store(true, std::memory_order_release);
-    wake();
+    loop_.join();
+    setPhase(ReactorPhase::Idle);
+    telemetry::setGauge(connsGauge_, 0);
 }
 
 void
@@ -320,7 +274,7 @@ Reactor::adopt(int fd)
         std::lock_guard<std::mutex> lock(mutex_);
         adopted_.push_back(fd);
     }
-    wake(); // adopts are rare; always waking keeps them prompt
+    loop_.wake(); // adopts are rare; always waking keeps them prompt
 }
 
 void
@@ -335,102 +289,28 @@ Reactor::onResponse(std::uint64_t token, Response &&resp)
     // One eventfd write per empty -> non-empty transition: a shard
     // finishing a 64-job batch wakes the reactor once, not 64 times.
     if (was_empty)
-        wake();
+        loop_.wake();
 }
 
 void
-Reactor::wake()
+Reactor::endTurn(int n_events)
 {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] const auto n =
-        ::write(eventFd_, &one, sizeof(one));
-}
-
-void
-Reactor::run()
-{
-    if (pinCpu_ >= 0)
-        pinThisThreadToCpu(pinCpu_);
-    epoll_event evs[64];
-    lastTickNs_ = monoNs();
-    while (true) {
-        if (draining_.load(std::memory_order_acquire))
-            beginDrain();
-        if (drainStarted_ && conns_.empty())
-            break;
-        setPhase(ReactorPhase::Idle);
-        const int n =
-            ::epoll_wait(epollFd_, evs, 64, drainStarted_ ? 50 : 100);
-        // One turn = everything between two epoll_wait calls. The
-        // heartbeat advances even on timeout turns (at least every
-        // 100ms), so a frozen heartbeat always means a stuck loop.
-        heartbeat_.fetch_add(1, std::memory_order_relaxed);
-        telemetry::setGauge(
-            heartbeatGauge_,
-            static_cast<std::int64_t>(
-                heartbeat_.load(std::memory_order_relaxed)));
-        const std::uint64_t turn_start = monoNs();
-        // Connection events first, control fds second: a close during
-        // this batch must not let a just-accepted connection reuse
-        // the fd and alias a stale event.
-        for (int i = 0; i < n; ++i) {
-            const int fd = evs[i].data.fd;
-            if (fd == eventFd_ || fd == listenFd_)
-                continue;
-            auto it = conns_.find(fd);
-            if (it == conns_.end())
-                continue; // closed earlier in this batch
-            Conn *conn = it->second.get();
-            if ((evs[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
-                closeConn(conn);
-                continue;
-            }
-            if ((evs[i].events & EPOLLIN) != 0) {
-                setPhase(ReactorPhase::Read);
-                handleReadable(conn);
-            }
-            if ((evs[i].events & EPOLLOUT) != 0) {
-                it = conns_.find(fd);
-                if (it != conns_.end()) {
-                    setPhase(ReactorPhase::Write);
-                    pumpConn(it->second.get());
-                }
-            }
-        }
-        for (int i = 0; i < n; ++i) {
-            const int fd = evs[i].data.fd;
-            if (fd == eventFd_) {
-                setPhase(ReactorPhase::Control);
-                handleWake();
-            } else if (fd == listenFd_ && !drainStarted_) {
-                setPhase(ReactorPhase::Accept);
-                handleAccept();
-            }
-        }
-        const std::uint64_t now = monoNs();
-        if (now - lastTickNs_ >= kTickNs) {
-            // Lateness beyond the 100ms cadence is loop lag: time the
-            // loop spent working (or stuck) instead of ticking.
-            const std::uint64_t late = now - lastTickNs_ - kTickNs;
-            telemetry::observe(lagHist_, late);
-            lastTickNs_ = now;
-            setPhase(ReactorPhase::Tick);
-            tick(now);
-        }
-        // Busy turns only: at 10Hz an idle loop would drown the
-        // histogram in near-zero samples.
-        if (n > 0)
-            telemetry::observe(turnHist_, monoNs() - turn_start);
-    }
+    // The loop ends a turn at least every 100ms even idle, so a
+    // frozen heartbeat always means a stuck loop.
+    const std::uint64_t beats =
+        heartbeat_.fetch_add(1, std::memory_order_relaxed) + 1;
+    telemetry::setGauge(heartbeatGauge_,
+                        static_cast<std::int64_t>(beats));
+    // Busy turns only: at 10Hz an idle loop would drown the
+    // histogram in near-zero samples.
+    if (n_events > 0)
+        telemetry::observe(turnHist_, monoNs() - loop_.nowNs());
     setPhase(ReactorPhase::Idle);
-    telemetry::setGauge(connsGauge_, 0);
 }
 
 void
 Reactor::handleWake()
 {
-    std::uint64_t v;
-    [[maybe_unused]] const auto r = ::read(eventFd_, &v, sizeof(v));
     std::vector<Completion> done;
     std::vector<int> fds;
     {
@@ -453,13 +333,12 @@ Reactor::handleWake()
         if (it == connsById_.end())
             continue; // connection died with jobs in flight
         Conn *conn = it->second;
-        const std::uint32_t rel =
-            static_cast<std::uint32_t>(c.token) - conn->baseSeq;
-        if (rel >= conn->pending.size())
+        Conn::Slot *slot =
+            conn->pending.at(static_cast<std::uint32_t>(c.token));
+        if (slot == nullptr)
             continue; // stale token
-        Conn::Slot &slot = conn->pending[rel];
-        slot.resp = std::move(c.resp);
-        slot.ready = true;
+        slot->resp = std::move(c.resp);
+        slot->ready = true;
         if (std::find(touched.begin(), touched.end(), conn) ==
             touched.end())
             touched.push_back(conn);
@@ -469,64 +348,48 @@ Reactor::handleWake()
 }
 
 void
-Reactor::handleAccept()
+Reactor::handleAccept(int fd)
 {
+    setPhase(ReactorPhase::Accept);
     const auto &cfg = server_.cfg_;
-    while (true) {
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0)
-            break; // EAGAIN, or a transient accept error
-        setNoDelay(fd);
-        // Count live connections against the cap at accept time so a
-        // storm cannot overshoot while handoffs are in flight.
-        if (server_.liveConns_.load(std::memory_order_relaxed) >=
-            cfg.maxConnections) {
-            // Tell the client why before hanging up. The socket is
-            // fresh, so this one small frame cannot block.
-            Request synthetic;
-            synthetic.type = MsgType::Health;
-            std::vector<std::uint8_t> out;
-            appendResponseFrame(out,
-                                quickResponse(synthetic, Status::Busy,
-                                              "connection limit "
-                                              "reached"));
-            writeAll(fd, out.data(), out.size(), nullptr);
-            closeFd(fd);
-            ++server_.rejected_;
-            telemetry::count(connCounters().rejected);
-            static std::atomic<std::uint64_t> gate{0};
-            if (warnTick(gate)) {
-                warn("component=server connection limit (%zu) "
-                     "reached; rejecting with BUSY (%llu rejected "
-                     "so far)",
-                     static_cast<std::size_t>(cfg.maxConnections),
-                     static_cast<unsigned long long>(
-                         server_.rejected_.load()));
-            } else {
-                telemetry::count(connCounters().logSuppressed);
-            }
-            continue;
+    // Count live connections against the cap at accept time so a
+    // storm cannot overshoot while handoffs are in flight.
+    if (server_.liveConns_.load(std::memory_order_relaxed) >=
+        cfg.maxConnections) {
+        // Counted before the BUSY frame leaves, so a client that
+        // reads it also sees the count.
+        ++server_.rejected_;
+        telemetry::count(connCounters().rejected);
+        refuseConnection(fd);
+        static std::atomic<std::uint64_t> gate{0};
+        if (warnTick(gate)) {
+            warn("component=server connection limit (%zu) reached; "
+                 "rejecting with BUSY (%llu rejected so far)",
+                 static_cast<std::size_t>(cfg.maxConnections),
+                 static_cast<unsigned long long>(
+                     server_.rejected_.load()));
+        } else {
+            telemetry::count(connCounters().logSuppressed);
         }
-        server_.liveConns_.fetch_add(1, std::memory_order_relaxed);
-        ++server_.accepted_;
-        telemetry::count(connCounters().accepted);
-        setNonBlocking(fd);
-        Reactor *target =
-            server_.reactors_[acceptRr_++ % server_.reactors_.size()]
-                .get();
-        if (target == this)
-            adoptLocal(fd);
-        else
-            target->adopt(fd);
-        debug_log("service: accepted connection fd=%d -> reactor %d",
-                  fd, target->index());
+        return;
     }
+    server_.liveConns_.fetch_add(1, std::memory_order_relaxed);
+    ++server_.accepted_;
+    telemetry::count(connCounters().accepted);
+    Reactor *target =
+        server_.reactors_[acceptRr_++ % server_.reactors_.size()].get();
+    if (target == this)
+        adoptLocal(fd);
+    else
+        target->adopt(fd);
+    debug_log("service: accepted connection fd=%d -> reactor %d", fd,
+              target->index());
 }
 
 void
 Reactor::adoptLocal(int fd)
 {
-    if (drainStarted_) {
+    if (loop_.draining()) {
         closeFd(fd);
         server_.liveConns_.fetch_sub(1, std::memory_order_relaxed);
         return;
@@ -542,76 +405,39 @@ Reactor::adoptLocal(int fd)
                              (freezeMs_ % 1000) * 1'000'000L};
         ::nanosleep(&ts, nullptr);
     }
-    auto conn =
-        std::make_unique<Conn>(server_.cfg_.rateLimitPerConn);
-    conn->fd = fd;
-    conn->id = nextConnId_++;
-    conn->lastActiveNs = monoNs();
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev);
+    auto conn = std::make_unique<Conn>(*this, fd, nextConnId_++,
+                                       server_.cfg_.rateLimitPerConn);
     connsById_[conn->id] = conn.get();
-    conns_[fd] = std::move(conn);
-    connCount_.store(conns_.size(), std::memory_order_relaxed);
-    telemetry::setGauge(connsGauge_,
-                        static_cast<std::int64_t>(conns_.size()));
+    loop_.add(std::move(conn));
+    publishConnCount();
 }
 
 void
-Reactor::beginDrain()
+Reactor::connClosed(Conn *conn)
 {
-    if (drainStarted_)
-        return;
-    drainStarted_ = true;
-    if (listenFd_ >= 0)
-        ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_, nullptr);
-    // Read-side shutdown only: the client sees EOF, but responses
-    // already owed (queued on shards or in outq) still go out. A
-    // stalled writer is bounded by writeTimeoutMs, not forever.
-    std::vector<Conn *> all;
-    all.reserve(conns_.size());
-    for (auto &kv : conns_)
-        all.push_back(kv.second.get());
-    for (Conn *conn : all) {
-        shutdownRead(conn->fd);
-        if (!conn->readClosed) {
-            conn->readClosed = true;
-            epoll_event ev{};
-            ev.events = conn->wantWrite ? unsigned{EPOLLOUT} : 0u;
-            ev.data.fd = conn->fd;
-            ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, conn->fd, &ev);
-        }
-        pumpConn(conn); // closes immediately when nothing is owed
-    }
+    debug_log("service: closing connection fd=%d", conn->fd());
+    connsById_.erase(conn->id);
+    server_.liveConns_.fetch_sub(1, std::memory_order_relaxed);
+    publishConnCount();
+}
+
+void
+Reactor::publishConnCount()
+{
+    connCount_.store(loop_.clients(), std::memory_order_relaxed);
+    telemetry::setGauge(connsGauge_,
+                        static_cast<std::int64_t>(loop_.clients()));
 }
 
 void
 Reactor::handleReadable(Conn *conn)
 {
-    if (conn->readClosed)
+    const std::uint8_t *data = nullptr;
+    const std::size_t n = conn->receive(data);
+    if (n == 0)
         return;
-    // One read per turn; level-triggered epoll re-arms when more
-    // bytes are waiting, which keeps one firehose connection from
-    // starving the rest of this reactor's conns.
-    const long n = readSome(conn->fd, rdbuf_.data(), rdbuf_.size());
-    if (n < 0) {
-        closeConn(conn);
-        return;
-    }
-    if (n == 0) {
-        // EOF. Stop reading (a level-triggered EOF fires forever) but
-        // finish writing whatever is still owed before closing.
-        conn->readClosed = true;
-        epoll_event ev{};
-        ev.events = conn->wantWrite ? unsigned{EPOLLOUT} : 0u;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, conn->fd, &ev);
-        pumpConn(conn);
-        return;
-    }
-    conn->lastActiveNs = monoNs();
-    conn->reader.feed(rdbuf_.data(), static_cast<std::size_t>(n));
+    conn->touch();
+    conn->reader.feed(data, n);
     // One entropy shard per read batch, not per frame: a pipelined
     // window dispatched whole lands as one big shard batch (one
     // worker wakeup, one coalesced generate()) instead of scattering
@@ -619,25 +445,15 @@ Reactor::handleReadable(Conn *conn)
     readShard_ = server_.rr_.fetch_add(1, std::memory_order_relaxed) %
                  server_.shards_.size();
     setPhase(ReactorPhase::Dispatch);
-    while (!conn->readClosed && conn->reader.next(rdpayload_))
+    while (!conn->readClosed() && conn->reader.next(rdpayload_))
         dispatchFrame(conn, rdpayload_);
-    if (!conn->reader.error().empty() && !conn->readClosed) {
-        // Oversized frame poisoned the reader: answer, then hang up -
-        // the stream cannot be trusted to stay aligned.
+    if (!conn->reader.error().empty() && !conn->readClosed()) {
+        // Oversized frame poisoned the reader: answer, then hang up.
         telemetry::count(connCounters().badFrames);
-        Request synthetic;
-        synthetic.type = MsgType::Health;
-        conn->pending.emplace_back();
-        Conn::Slot &slot = conn->pending.back();
-        slot.resp = quickResponse(synthetic, Status::Error,
-                                  conn->reader.error());
+        Conn::Slot &slot = conn->pending.push();
+        slot.resp = badFrameReply(nullptr, conn->reader.error());
         slot.ready = true;
-        ++conn->nextSeq;
-        conn->readClosed = true;
-        epoll_event ev{};
-        ev.events = conn->wantWrite ? unsigned{EPOLLOUT} : 0u;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, conn->fd, &ev);
+        conn->stopReading();
     }
     setPhase(ReactorPhase::Write);
     pumpConn(conn);
@@ -653,52 +469,37 @@ Reactor::dispatchFrame(Conn *conn,
     Request req;
     std::string err;
     const auto push_inline = [&](Response &&resp) {
-        conn->pending.emplace_back();
-        Conn::Slot &slot = conn->pending.back();
+        Conn::Slot &slot = conn->pending.push();
         slot.resp = std::move(resp);
         slot.recvNs = recv_ns;
         slot.ready = true;
-        ++conn->nextSeq;
     };
     if (!decodeRequest(payload.data(), payload.size(), req, &err)) {
-        // Undecodable frame: answer, then hang up - the stream cannot
-        // be trusted to stay aligned.
         telemetry::count(cc.badFrames);
         static std::atomic<std::uint64_t> gate{0};
         if (warnTick(gate)) {
             warn("component=server undecodable frame on fd=%d (%s); "
                  "closing connection",
-                 conn->fd, err.c_str());
+                 conn->fd(), err.c_str());
         } else {
             telemetry::count(cc.logSuppressed);
         }
-        Request synthetic;
-        synthetic.type = MsgType::Health;
-        if (payload.size() >= 4)
-            synthetic.seq = static_cast<std::uint16_t>(
-                payload[2] | (payload[3] << 8));
-        push_inline(quickResponse(synthetic, Status::Error, err));
-        conn->readClosed = true;
-        epoll_event ev{};
-        ev.events = conn->wantWrite ? unsigned{EPOLLOUT} : 0u;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, conn->fd, &ev);
+        push_inline(badFrameReply(&payload, err));
+        conn->stopReading();
         return;
     }
     if (req.type == MsgType::Health) {
-        push_inline(
-            quickResponse(req, Status::Ok, server_.healthJson()));
+        push_inline(replyTo(req, Status::Ok, server_.healthJson()));
         return;
     }
     if (req.type == MsgType::Stats) {
-        push_inline(
-            quickResponse(req, Status::Ok, server_.statsJson()));
+        push_inline(replyTo(req, Status::Ok, server_.statsJson()));
         return;
     }
     if (conn->bucket.active() && !conn->bucket.allow()) {
         telemetry::count(cc.rateLimited);
-        push_inline(quickResponse(req, Status::RateLimited,
-                                  "per-connection rate limit"));
+        push_inline(replyTo(req, Status::RateLimited,
+                            "per-connection rate limit"));
         return;
     }
     if (req.type == MsgType::GetEntropy &&
@@ -712,18 +513,16 @@ Reactor::dispatchFrame(Conn *conn,
                 (req.flags & kFlagDeviceId) == 0
             ? readShard_
             : req.device % server_.shards_.size();
-    conn->pending.emplace_back();
-    Conn::Slot &slot = conn->pending.back();
+    const std::uint32_t idx = conn->pending.next();
+    Conn::Slot &slot = conn->pending.push();
     slot.recvNs = recv_ns;
     slot.shard = static_cast<int>(shard_idx);
-    const std::uint32_t abs = conn->nextSeq++;
     Job job;
     job.req = req;
     job.sink = this;
-    job.token = (static_cast<std::uint64_t>(conn->id) << 32) | abs;
+    job.token = (static_cast<std::uint64_t>(conn->id) << 32) | idx;
     if (!server_.shards_[shard_idx]->submit(std::move(job))) {
-        slot.resp =
-            quickResponse(req, Status::Busy, "shard queue full");
+        slot.resp = replyTo(req, Status::Busy, "shard queue full");
         slot.shard = -1;
         slot.ready = true;
     }
@@ -745,74 +544,50 @@ Reactor::serveEntropyFromPool(Conn *conn, const Request &req,
         return false;
     }
     const auto &cc = connCounters();
+    telemetry::count(cc.jobs);
+    telemetry::count(cc.poolHits);
+    telemetry::count(cc.entropyBytes, n);
+    const std::uint8_t *bytes = pool_.data() + poolPos_;
+    poolPos_ += n;
+    // A pool hit never queues and never generates; its stage stamps
+    // collapse to one instant, which keeps the timeline monotonic and
+    // makes the fast path self-identifying in /varz (queue_wait ==
+    // generate == 0).
     const bool traced =
         telemetry::enabled() && (req.flags & kFlagRequestId) != 0;
+    const std::uint64_t now = traced ? telemetry::nowNs() : 0;
     if (conn->pending.empty()) {
         // Empty window: this response leaves in order by
         // construction, so encode straight into the write queue - no
         // Slot, no Response, one copy of the entropy bytes. In a
         // pool-warm pipelined burst every frame takes this branch
         // (the window drains as fast as it would fill).
-        if (conn->outq.empty() ||
-            conn->outq.back().size() >= kChunkBytes) {
-            conn->outq.emplace_back();
-            conn->outq.back().reserve(kChunkBytes + 512);
-        }
-        auto &chunk = conn->outq.back();
-        const std::size_t before = chunk.size();
-        appendEntropyOkFrame(chunk, req, pool_.data() + poolPos_, n);
-        conn->outBytes += chunk.size() - before;
+        appendEntropyOkFrame(conn->outChunk(), req, bytes, n);
         ++conn->framesSinceFlush;
-        ++conn->nextSeq;
-        ++conn->baseSeq; // the window never held this frame
-        poolPos_ += n;
+        conn->pending.skip();
         if (traced) {
-            const std::uint64_t now = telemetry::nowNs();
             RequestTimeline t;
             t.requestId = req.requestId;
             t.type = static_cast<std::uint8_t>(MsgType::GetEntropy);
             t.status = static_cast<std::uint8_t>(Status::Ok);
             t.shard = poolShard_;
             t.recvNs = recv_ns;
-            t.enqueueNs = now;
-            t.dequeueNs = now;
-            t.genStartNs = now;
-            t.genEndNs = now;
+            t.enqueueNs = t.dequeueNs = t.genStartNs = t.genEndNs = now;
             conn->traced.push_back(t);
         }
-        telemetry::count(cc.jobs);
-        telemetry::count(cc.poolHits);
-        telemetry::count(cc.entropyBytes, n);
-        maybeRefillPool();
-        return true;
-    }
-    conn->pending.emplace_back();
-    Conn::Slot &slot = conn->pending.back();
-    ++conn->nextSeq;
-    Response &resp = slot.resp;
-    resp.type = MsgType::GetEntropy;
-    resp.seq = req.seq;
-    resp.status = Status::Ok;
-    resp.data.assign(pool_.begin() + static_cast<long>(poolPos_),
-                     pool_.begin() + static_cast<long>(poolPos_ + n));
-    poolPos_ += n;
-    echoRequestId(resp, req);
-    slot.recvNs = recv_ns;
-    slot.shard = poolShard_; //!< DRBG owner: a real stage attribution
-    slot.ready = true;
-    telemetry::count(cc.jobs);
-    telemetry::count(cc.poolHits);
-    telemetry::count(cc.entropyBytes, n);
-    if (traced) {
-        // A pool hit never queues and never generates; the stage
-        // stamps collapse to one instant, which keeps the timeline
-        // monotonic and makes the fast path self-identifying in
-        // /varz (queue_wait == generate == 0).
-        const std::uint64_t now = telemetry::nowNs();
-        resp.stamps.enqueueNs = now;
-        resp.stamps.dequeueNs = now;
-        resp.stamps.genStartNs = now;
-        resp.stamps.genEndNs = now;
+    } else {
+        Conn::Slot &slot = conn->pending.push();
+        Response &resp = slot.resp;
+        resp.type = MsgType::GetEntropy;
+        resp.seq = req.seq;
+        resp.status = Status::Ok;
+        resp.data.assign(bytes, bytes + n);
+        echoRequestId(resp, req);
+        resp.stamps.enqueueNs = resp.stamps.dequeueNs = now;
+        resp.stamps.genStartNs = resp.stamps.genEndNs = now;
+        slot.recvNs = recv_ns;
+        slot.shard = poolShard_; //!< DRBG owner: a real stage attribution
+        slot.ready = true;
     }
     maybeRefillPool();
     return true;
@@ -858,22 +633,11 @@ Reactor::onPoolRefill(std::uint64_t token, Response &&resp)
     pool_.insert(pool_.end(), resp.data.begin(), resp.data.end());
 }
 
-bool
-Reactor::encodeReady(Conn *conn)
+void
+Reactor::pumpConn(Conn *conn)
 {
-    bool any = false;
-    while (!conn->pending.empty() && conn->pending.front().ready) {
-        Conn::Slot &slot = conn->pending.front();
-        if (conn->outq.empty() ||
-            conn->outq.back().size() >= kChunkBytes) {
-            conn->outq.emplace_back();
-            conn->outq.back().reserve(kChunkBytes + 512);
-        }
-        auto &chunk = conn->outq.back();
-        const std::size_t before = chunk.size();
-        appendResponseFrame(chunk, slot.resp);
-        conn->outBytes += chunk.size() - before;
-        ++conn->framesSinceFlush;
+    const auto encode = [conn](Conn::Slot &slot) {
+        appendResponseFrame(conn->outChunk(), slot.resp);
         if (telemetry::enabled() &&
             (slot.resp.flags & kFlagRequestId) != 0) {
             RequestTimeline t;
@@ -888,87 +652,14 @@ Reactor::encodeReady(Conn *conn)
             t.genEndNs = slot.resp.stamps.genEndNs;
             conn->traced.push_back(t);
         }
-        conn->pending.pop_front();
-        ++conn->baseSeq;
-        any = true;
-    }
-    return any;
-}
-
-bool
-Reactor::flushConn(Conn *conn)
-{
-    while (!conn->outq.empty()) {
-        iovec iov[kMaxIov];
-        int niov = 0;
-        std::size_t pos = conn->outPos;
-        for (const auto &chunk : conn->outq) {
-            iov[niov].iov_base =
-                const_cast<std::uint8_t *>(chunk.data()) + pos;
-            iov[niov].iov_len = chunk.size() - pos;
-            pos = 0;
-            if (++niov == kMaxIov)
-                break;
-        }
-        const long w = writevSome(conn->fd, iov, niov);
-        if (w < 0) {
-            closeConn(conn);
-            return false;
-        }
-        if (w == 0) {
-            // Kernel buffer full: remember when the stall began so
-            // tick() can kill a peer that stopped reading, and let
-            // EPOLLOUT resume the flush.
-            if (conn->stallSinceNs == 0)
-                conn->stallSinceNs = monoNs();
-            updateWriteInterest(conn);
-            return true;
-        }
-        conn->stallSinceNs = 0;
-        conn->outBytes -= static_cast<std::size_t>(w);
-        std::size_t left = static_cast<std::size_t>(w);
-        while (left > 0) {
-            auto &front = conn->outq.front();
-            const std::size_t avail = front.size() - conn->outPos;
-            if (left < avail) {
-                conn->outPos += left;
-                left = 0;
-            } else {
-                left -= avail;
-                conn->outq.pop_front();
-                conn->outPos = 0;
-            }
-        }
-    }
-    conn->stallSinceNs = 0;
-    updateWriteInterest(conn);
-    return true;
-}
-
-void
-Reactor::updateWriteInterest(Conn *conn)
-{
-    const bool want = !conn->outq.empty();
-    if (want == conn->wantWrite)
-        return;
-    conn->wantWrite = want;
-    epoll_event ev{};
-    ev.events = (conn->readClosed ? 0u : unsigned{EPOLLIN}) |
-                (want ? unsigned{EPOLLOUT} : 0u);
-    ev.data.fd = conn->fd;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, conn->fd, &ev);
-}
-
-void
-Reactor::pumpConn(Conn *conn)
-{
-    encodeReady(conn);
+    };
+    conn->framesSinceFlush += conn->pending.popReady(encode);
     if (conn->framesSinceFlush > 0) {
         telemetry::observe(connCounters().writeBatch,
                            conn->framesSinceFlush);
         conn->framesSinceFlush = 0;
     }
-    if (!conn->outq.empty() && !flushConn(conn))
+    if (!conn->flush())
         return; // connection died (its traced batch dies with it)
     if (!conn->traced.empty()) {
         // One stamp for the whole batch: the requests left the
@@ -985,51 +676,8 @@ Reactor::pumpConn(Conn *conn)
         }
         conn->traced.clear();
     }
-    if (conn->readClosed && conn->pending.empty() &&
-        conn->outq.empty())
-        closeConn(conn);
-}
-
-void
-Reactor::closeConn(Conn *conn)
-{
-    const int fd = conn->fd;
-    debug_log("service: closing connection fd=%d", fd);
-    ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, fd, nullptr);
-    closeFd(fd);
-    connsById_.erase(conn->id);
-    conns_.erase(fd); // destroys conn
-    server_.liveConns_.fetch_sub(1, std::memory_order_relaxed);
-    connCount_.store(conns_.size(), std::memory_order_relaxed);
-    telemetry::setGauge(connsGauge_,
-                        static_cast<std::int64_t>(conns_.size()));
-}
-
-void
-Reactor::tick(std::uint64_t now_ns)
-{
-    const auto &cfg = server_.cfg_;
-    std::vector<Conn *> doomed;
-    for (auto &kv : conns_) {
-        Conn *conn = kv.second.get();
-        if (cfg.writeTimeoutMs > 0 && conn->stallSinceNs != 0 &&
-            now_ns - conn->stallSinceNs >=
-                static_cast<std::uint64_t>(cfg.writeTimeoutMs) *
-                    1'000'000ull) {
-            // Peer stopped reading with responses owed: drop it (the
-            // non-blocking replacement for SO_SNDTIMEO).
-            doomed.push_back(conn);
-            continue;
-        }
-        if (!conn->readClosed && cfg.idleTimeoutMs > 0 &&
-            conn->pending.empty() && conn->outq.empty() &&
-            now_ns - conn->lastActiveNs >=
-                static_cast<std::uint64_t>(cfg.idleTimeoutMs) *
-                    1'000'000ull)
-            doomed.push_back(conn);
-    }
-    for (Conn *conn : doomed)
-        closeConn(conn);
+    if (conn->readClosed() && !conn->busy())
+        conn->close();
 }
 
 } // namespace fracdram::service

@@ -1,29 +1,16 @@
 /**
  * @file
  * One event-loop thread of the serving daemon (see server.hh for the
- * full threading model). A reactor owns:
- *
- *   - an epoll instance watching its connections (and, on reactor 0,
- *     the listen socket - accepts happen on the loop, no dedicated
- *     accept thread),
- *   - an eventfd other threads use to wake it: the accepting reactor
- *     hands off adopted connections, shard workers post completions,
- *     and stop() posts the drain request,
- *   - every connection assigned to it, each with a FrameReader, a
- *     token bucket, an ordered pending-response window and a batched
- *     write queue flushed with one writev per loop turn.
- *
- * The pipelining contract (responses leave in request order per
- * connection) is kept by the pending window: frame k of a connection
- * occupies slot k; shard completions arrive out of order, are routed
- * by their 64-bit token (connection id | absolute frame index) into
- * the slot, and only the ready *prefix* of the window is encoded and
- * flushed. Completions carry no allocation and no futex on the hot
- * path - the shard worker appends to the reactor's completion vector
- * and writes the eventfd only on the empty -> non-empty transition.
- *
- * Nothing here is shared between reactors except the accept handoff;
- * all per-connection state is touched only by the owning loop thread.
+ * threading model, DESIGN.md §5g for the loop). A reactor owns an
+ * EventLoop and the connections assigned to it; reactor 0 also
+ * accepts. Each connection keeps an OrderedWindow of pending
+ * responses: frame k occupies slot k, shard completions are routed
+ * back by their 64-bit token (connection id | absolute frame index),
+ * and only the ready prefix is encoded and flushed, so pipelined
+ * responses leave in request order. A shard worker posts completions
+ * to the reactor's inbox and writes the eventfd only on the
+ * empty -> non-empty transition. Nothing is shared between reactors
+ * except the accept handoff.
  */
 
 #ifndef FRACDRAM_SERVICE_REACTOR_HH
@@ -31,12 +18,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "service/event_loop.hh"
 #include "service/proto.hh"
 #include "service/shard.hh"
 #include "telemetry/metrics.hh"
@@ -54,7 +40,7 @@ class Server;
  */
 enum class ReactorPhase : int
 {
-    Idle = 0, //!< blocked in epoll_wait
+    Idle = 0, //!< blocked waiting for events
     Accept,   //!< accepting / handing off new connections
     Read,     //!< draining a readable socket
     Dispatch, //!< decoding frames / submitting shard jobs
@@ -78,9 +64,9 @@ class Reactor final : public ResponseSink
      * @param listen_fd the listen socket (reactor 0), else -1
      */
     Reactor(Server &server, int index, int pin_cpu, int listen_fd);
-    ~Reactor();
+    ~Reactor() { join(); }
 
-    void start();
+    void start() { loop_.start(pinCpu_); }
     void join();
 
     /**
@@ -88,7 +74,7 @@ class Reactor final : public ResponseSink
      * every connection, answer everything in flight, then exit the
      * loop. Callable from any thread; idempotent.
      */
-    void requestDrain();
+    void requestDrain() { loop_.requestDrain(); }
 
     /**
      * Take ownership of an accepted, non-blocking socket. Called by
@@ -127,12 +113,9 @@ class Reactor final : public ResponseSink
         Response resp;
     };
 
-    void run();
-    void wake();
     void handleWake();
-    void handleAccept();
+    void handleAccept(int fd);
     void adoptLocal(int fd);
-    void beginDrain();
     void handleReadable(Conn *conn);
     void dispatchFrame(Conn *conn, const std::vector<std::uint8_t> &payload);
     bool serveEntropyFromPool(Conn *conn, const Request &req,
@@ -140,20 +123,14 @@ class Reactor final : public ResponseSink
     void maybeRefillPool();
     void onPoolRefill(std::uint64_t token, Response &&resp);
     void pumpConn(Conn *conn);
-    bool encodeReady(Conn *conn);
-    bool flushConn(Conn *conn);
-    void updateWriteInterest(Conn *conn);
-    void closeConn(Conn *conn);
-    void tick(std::uint64_t now_ns);
+    void connClosed(Conn *conn);
+    void endTurn(int n_events);
+    void publishConnCount();
     void setPhase(ReactorPhase p);
 
     Server &server_;
     const int index_;
     const int pinCpu_;
-    const int listenFd_; //!< -1 on non-accepting reactors
-    int epollFd_ = -1;
-    int eventFd_ = -1;
-    std::thread thread_;
 
     /** @name Cross-thread inboxes (guarded by mutex_) */
     /// @{
@@ -161,17 +138,12 @@ class Reactor final : public ResponseSink
     std::vector<Completion> completions_;
     std::vector<int> adopted_;
     /// @}
-    std::atomic<bool> draining_{false};
-    bool drainStarted_ = false;
 
     /** @name Loop-thread-only state */
     /// @{
-    std::unordered_map<int, std::unique_ptr<Conn>> conns_; //!< by fd
     std::unordered_map<std::uint32_t, Conn *> connsById_;
     std::uint32_t nextConnId_ = 1;
     std::uint64_t acceptRr_ = 0; //!< handoff round-robin (reactor 0)
-    std::uint64_t lastTickNs_ = 0;
-    std::vector<std::uint8_t> rdbuf_;
     std::vector<std::uint8_t> rdpayload_; //!< frame scratch (reused)
     std::size_t readShard_ = 0; //!< entropy shard for this read batch
 
@@ -198,11 +170,11 @@ class Reactor final : public ResponseSink
 
     /**
      * @name Loop forensics (see DESIGN.md §5i)
-     * heartbeat_ bumps once per loop turn (epoll_wait returns at
-     * least every 100ms even idle, so a frozen heartbeat means a
-     * stuck loop, not an idle one); phase_ names what the loop is
-     * doing right now. Both are mirrored into gauges so the watchdog
-     * and the flight recorder read them from ordinary snapshots.
+     * heartbeat_ bumps once per loop turn (the loop turns at least
+     * every 100ms even idle, so a frozen heartbeat means a stuck
+     * loop, not an idle one); phase_ names what the loop is doing
+     * right now. Both are mirrored into gauges so the watchdog and
+     * the flight recorder read them from ordinary snapshots.
      */
     /// @{
     std::atomic<std::uint64_t> heartbeat_{0};
@@ -214,6 +186,8 @@ class Reactor final : public ResponseSink
     int freezeMs_ = 0; //!< FRACDRAM_TEST_FREEZE_REACTOR test hook
     bool freezeArmed_ = false;
     /// @}
+
+    EventLoop loop_; //!< last: its thread uses everything above
 };
 
 } // namespace fracdram::service

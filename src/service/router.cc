@@ -1,15 +1,9 @@
 #include "service/router.hh"
 
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cmath>
-#include <cstring>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -19,43 +13,22 @@
 namespace fracdram::fleet
 {
 
+using service::appendFrame;
+using service::badFrameReply;
 using service::decodeRequest;
 using service::encodeRequest;
 using service::encodeResponse;
 using service::FrameReader;
 using service::kFlagDeviceId;
+using service::monoNs;
 using service::MsgType;
+using service::replyTo;
 using service::Request;
 using service::Response;
 using service::Status;
 
 namespace
 {
-
-std::uint64_t
-monoNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
-/** Append `u32le len | payload` onto @p out. */
-void
-appendFramed(std::vector<std::uint8_t> &out,
-             const std::vector<std::uint8_t> &payload)
-{
-    const std::uint32_t n = static_cast<std::uint32_t>(payload.size());
-    const std::size_t at = out.size();
-    out.resize(at + 4 + payload.size());
-    std::uint8_t *p = out.data() + at;
-    p[0] = static_cast<std::uint8_t>(n & 0xff);
-    p[1] = static_cast<std::uint8_t>((n >> 8) & 0xff);
-    p[2] = static_cast<std::uint8_t>((n >> 16) & 0xff);
-    p[3] = static_cast<std::uint8_t>((n >> 24) & 0xff);
-    std::memcpy(p + 4, payload.data(), payload.size());
-}
 
 /**
  * True when @p payload is an OK PUF_RESPONSE carrying the
@@ -79,23 +52,57 @@ lacksReference(const std::vector<std::uint8_t> &payload)
            resp.hamming == service::kNoHamming;
 }
 
-/** Response payload answering @p req with @p status / @p text. */
-std::vector<std::uint8_t>
-responsePayload(const Request &req, Status status, std::string text)
-{
-    Response resp;
-    resp.type = req.type;
-    resp.seq = req.seq;
-    resp.status = status;
-    resp.text = std::move(text);
-    service::echoRequestId(resp, req);
-    return encodeResponse(resp);
-}
-
 } // namespace
 
+/** A client connection: frames in, the ordered window out. */
+struct Router::RConn final : service::BufferedConn
+{
+    RConn(Router &owner, int fd, std::uint32_t conn_id)
+        : BufferedConn(owner.loop_, fd), router(owner), id(conn_id)
+    {
+    }
+
+    void onReadable() override { router.handleClientReadable(this); }
+    void pump() override { router.pumpConn(this); }
+    bool busy() const override { return !window.empty() || hasOutput(); }
+    void onClose() override { router.connClosed(this); }
+
+    Router &router;
+    const std::uint32_t id;
+    FrameReader reader;
+    service::OrderedWindow<Slot> window;
+    bool dirty = false; //!< queued in dirtyConns_
+};
+
+/** The data link to one daemon; a loss ejects the daemon. */
+struct Router::BackendConn final : service::BufferedConn
+{
+    BackendConn(Router &owner, int fd, std::size_t backend)
+        : BufferedConn(owner.loop_, fd, /*upstream=*/true),
+          router(owner), index(backend)
+    {
+    }
+
+    void onReadable() override { router.handleBackendReadable(index); }
+    void onClose() override
+    {
+        if (router.backends_[index]->conn == this)
+            router.failBackend(index, "connection lost");
+    }
+
+    Router &router;
+    const std::size_t index;
+    FrameReader reader;
+};
+
 Router::Router(const RouterConfig &cfg)
-    : cfg_(cfg), ring_(cfg.vnodes)
+    : cfg_(cfg), ring_(cfg.vnodes),
+      loop_({[this] { applyBackendCommands(); },
+             [this](std::uint64_t now_ns, std::uint64_t) {
+                 expireUpstream(now_ns);
+             },
+             [this](int) { flushPending(); }},
+            cfg.upstreamTimeoutMs, 0)
 {
     auto &m = telemetry::Metrics::instance();
     forwardedCtr_ = m.counter("router.forwarded");
@@ -106,6 +113,7 @@ Router::Router(const RouterConfig &cfg)
     ejectionsCtr_ = m.counter("router.ejections");
     readmissionsCtr_ = m.counter("router.readmissions");
     acceptedCtr_ = m.counter("router.conn_accepted");
+    rejectedCtr_ = m.counter("router.conn_rejected");
     badFramesCtr_ = m.counter("router.bad_frames");
     readThroughCtr_ = m.counter("router.verify_read_through");
     connsGauge_ = m.gauge("router.connections");
@@ -121,6 +129,7 @@ Router::Router(const RouterConfig &cfg)
 Router::~Router()
 {
     stop();
+    service::closeFd(listenFd_);
 }
 
 bool
@@ -135,21 +144,7 @@ Router::start(std::string *err)
     if (listenFd_ < 0)
         return false;
     port_ = service::boundPort(listenFd_);
-    service::setNonBlocking(listenFd_);
-    epollFd_ = ::epoll_create1(0);
-    eventFd_ = ::eventfd(0, EFD_NONBLOCK);
-    if (epollFd_ < 0 || eventFd_ < 0) {
-        if (err != nullptr)
-            *err = "epoll/eventfd setup failed";
-        return false;
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listenFd_;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, listenFd_, &ev);
-    ev.data.fd = eventFd_;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, eventFd_, &ev);
-    rdbuf_.resize(64 * 1024);
+    loop_.listen(listenFd_, [this](int fd) { handleAccept(fd); });
     startNs_ = monoNs();
 
     // Connect what answers now; the prober re-admits the rest when
@@ -196,7 +191,7 @@ Router::start(std::string *err)
             return false;
     }
 
-    loopThread_ = std::thread(&Router::loop, this);
+    loop_.start();
     proberThread_ = std::thread(&Router::proberLoop, this);
     running_ = true;
     return true;
@@ -207,24 +202,22 @@ Router::stop()
 {
     if (!running_)
         return;
-    draining_.store(true, std::memory_order_release);
-    wakeLoop();
-    loopThread_.join();
-    stopProber_.store(true, std::memory_order_release);
+    loop_.requestDrain();
+    loop_.join();
+    // The loop closed the backend links on its way out.
+    for (auto &b : backends_)
+        b->conn = nullptr;
+    service::closeFd(listenFd_);
+    listenFd_ = -1;
+    {
+        std::lock_guard<std::mutex> lock(proberMutex_);
+        stopProber_ = true;
+    }
+    proberCv_.notify_all();
     proberThread_.join();
     if (http_)
         http_->stop();
     running_ = false;
-}
-
-void
-Router::wakeLoop()
-{
-    if (eventFd_ >= 0) {
-        const std::uint64_t one = 1;
-        [[maybe_unused]] const auto n =
-            ::write(eventFd_, &one, sizeof(one));
-    }
 }
 
 bool
@@ -238,7 +231,7 @@ bool
 Router::backendAlive(int bi) const
 {
     const Backend &b = *backends_[static_cast<std::size_t>(bi)];
-    return b.fd >= 0 && b.up.load(std::memory_order_relaxed);
+    return b.conn != nullptr && b.up.load(std::memory_order_relaxed);
 }
 
 bool
@@ -248,20 +241,12 @@ Router::connectBackend(std::size_t bi, std::string *err)
     const int fd = service::connectTcp(b.addr.host, b.addr.port, err);
     if (fd < 0)
         return false;
-    service::setNoDelay(fd);
     service::setNonBlocking(fd);
-    b.fd = fd;
-    b.reader = FrameReader();
-    b.outbuf.clear();
-    b.outpos = 0;
-    b.wantWrite = false;
+    auto conn = std::make_unique<BackendConn>(*this, fd, bi);
+    b.conn = conn.get();
+    loop_.add(std::move(conn));
     b.up.store(true, std::memory_order_relaxed);
     telemetry::setGauge(b.upGauge, 1);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev);
-    backendByFd_[fd] = bi;
     return true;
 }
 
@@ -269,16 +254,11 @@ void
 Router::failBackend(std::size_t bi, const char *why)
 {
     Backend &b = *backends_[bi];
-    if (b.fd >= 0) {
-        ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, b.fd, nullptr);
-        backendByFd_.erase(b.fd);
-        service::closeFd(b.fd);
-        b.fd = -1;
+    if (b.conn != nullptr) {
+        BackendConn *conn = b.conn;
+        b.conn = nullptr;
+        conn->close();
     }
-    b.outbuf.clear();
-    b.outpos = 0;
-    b.wantWrite = false;
-    b.reader = FrameReader();
     const bool was_up = b.up.exchange(false, std::memory_order_relaxed);
     telemetry::setGauge(b.upGauge, 0);
     b.probeOks.store(0, std::memory_order_relaxed);
@@ -320,8 +300,8 @@ Router::failBackend(std::size_t bi, const char *why)
             continue;
         }
         completeSlot(p.connId, p.absIdx,
-                     responsePayload(p.req, Status::Error,
-                                     "backend lost mid-request"));
+                     encodeResponse(replyTo(p.req, Status::Error,
+                                            "backend lost mid-request")));
     }
 }
 
@@ -341,7 +321,7 @@ Router::sendToBackend(std::size_t bi, Pending &&p,
                       const std::vector<std::uint8_t> &frame)
 {
     Backend &b = *backends_[bi];
-    appendFramed(b.outbuf, frame);
+    appendFrame(b.conn->outChunk(), frame);
     b.inflight.push_back(std::move(p));
     // Published (atomic + telemetry) in one batch by flushPending();
     // two shared-counter updates per frame would be the single
@@ -354,55 +334,17 @@ Router::sendToBackend(std::size_t bi, Pending &&p,
 }
 
 void
-Router::flushBackend(std::size_t bi)
-{
-    Backend &b = *backends_[bi];
-    if (b.fd < 0)
-        return;
-    while (b.outpos < b.outbuf.size()) {
-        const long n = service::writeSome(
-            b.fd, b.outbuf.data() + b.outpos,
-            b.outbuf.size() - b.outpos);
-        if (n < 0) {
-            failBackend(bi, "write failed");
-            return;
-        }
-        if (n == 0)
-            break; // socket buffer full; EPOLLOUT continues
-        b.outpos += static_cast<std::size_t>(n);
-    }
-    if (b.outpos >= b.outbuf.size()) {
-        b.outbuf.clear();
-        b.outpos = 0;
-    }
-    const bool want = !b.outbuf.empty();
-    if (want != b.wantWrite) {
-        b.wantWrite = want;
-        epoll_event ev{};
-        ev.events = EPOLLIN | (want ? unsigned{EPOLLOUT} : 0u);
-        ev.data.fd = b.fd;
-        ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, b.fd, &ev);
-    }
-}
-
-void
 Router::handleBackendReadable(std::size_t bi)
 {
     Backend &b = *backends_[bi];
-    if (b.fd < 0)
-        return;
-    const long n = service::readSome(b.fd, rdbuf_.data(),
-                                     rdbuf_.size());
-    if (n <= 0) {
-        failBackend(bi, n == 0 ? "connection closed" : "read failed");
-        return;
-    }
-    if (!b.reader.feed(rdbuf_.data(), static_cast<std::size_t>(n))) {
-        failBackend(bi, "oversized response frame");
-        return;
-    }
+    BackendConn *conn = b.conn;
+    const std::uint8_t *data = nullptr;
+    const std::size_t n = conn->receive(data);
+    if (n == 0)
+        return; // EOF or error: the link closes and onClose ejects
+    conn->reader.feed(data, n);
     std::vector<std::uint8_t> payload;
-    while (b.reader.next(payload)) {
+    while (conn->reader.next(payload)) {
         if (b.inflight.empty()) {
             failBackend(bi, "unsolicited response");
             return;
@@ -444,6 +386,8 @@ Router::handleBackendReadable(std::size_t bi)
         // capacity is reused across the whole burst.
         payload.clear();
     }
+    if (!conn->reader.error().empty())
+        failBackend(bi, "oversized response frame");
 }
 
 void
@@ -454,29 +398,19 @@ Router::completeSlot(std::uint32_t conn_id, std::uint32_t abs_idx,
     if (it == connsById_.end())
         return; // client went away while the request was upstream
     RConn *conn = it->second;
-    if (abs_idx < conn->base)
+    Slot *slot = conn->window.at(abs_idx);
+    if (slot == nullptr)
         return;
-    const std::size_t off = abs_idx - conn->base;
-    if (off >= conn->window.size())
-        return;
-    if (off == 0) {
+    if (abs_idx == conn->window.base()) {
         // In-order completion (the only case with a single live
         // backend): skip the slot copy and append straight to the
-        // out-buffer, then drain any buffered successors it unblocks.
-        appendFramed(conn->outbuf, payload);
-        conn->window.pop_front();
-        ++conn->base;
-        while (!conn->window.empty() && conn->window.front().ready) {
-            appendFramed(conn->outbuf, conn->window.front().payload);
-            conn->window.pop_front();
-            ++conn->base;
-        }
-        markConnDirty(conn);
-        return;
+        // write queue; the flush drains any successors it unblocks.
+        appendFrame(conn->outChunk(), payload);
+        conn->window.pop();
+    } else {
+        slot->payload = std::move(payload);
+        slot->ready = true;
     }
-    Slot &slot = conn->window[off];
-    slot.payload = std::move(payload);
-    slot.ready = true;
     markConnDirty(conn);
 }
 
@@ -486,7 +420,7 @@ Router::markConnDirty(RConn *conn)
     if (conn->dirty)
         return;
     conn->dirty = true;
-    dirtyConns_.push_back(conn->id);
+    dirtyConns_.push_back(conn);
 }
 
 void
@@ -504,93 +438,64 @@ Router::flushPending()
             telemetry::count(forwardedCtr_, b.fwdPending);
             b.fwdPending = 0;
         }
-        if (b.fd >= 0)
-            flushBackend(dirtyBackends_[i]);
+        if (b.conn != nullptr)
+            b.conn->flush();
     }
     dirtyBackends_.clear();
     for (std::size_t i = 0; i < dirtyConns_.size(); ++i) {
-        const auto it = connsById_.find(dirtyConns_[i]);
-        if (it == connsById_.end())
-            continue; // closed since it was marked
-        it->second->dirty = false;
-        pumpConn(it->second);
+        RConn *conn = dirtyConns_[i];
+        conn->dirty = false;
+        if (!conn->closed())
+            pumpConn(conn);
     }
     dirtyConns_.clear();
 }
 
 void
-Router::handleAccept()
+Router::handleAccept(int fd)
 {
-    while (true) {
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // EAGAIN: drained
-        }
-        if (conns_.size() >= cfg_.maxConnections) {
-            service::closeFd(fd);
-            continue;
-        }
-        service::setNoDelay(fd);
-        service::setNonBlocking(fd);
-        auto conn = std::make_unique<RConn>();
-        conn->fd = fd;
-        conn->id = nextConnId_++;
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = fd;
-        ::epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev);
-        connsById_[conn->id] = conn.get();
-        conns_[fd] = std::move(conn);
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        telemetry::count(acceptedCtr_);
-        liveConns_.store(conns_.size(), std::memory_order_relaxed);
-        telemetry::setGauge(connsGauge_,
-                            static_cast<std::int64_t>(conns_.size()));
+    if (loop_.clients() >= cfg_.maxConnections) {
+        rejected_.fetch_add(1, std::memory_order_relaxed);
+        telemetry::count(rejectedCtr_);
+        service::refuseConnection(fd);
+        return;
     }
+    auto conn = std::make_unique<RConn>(*this, fd, nextConnId_++);
+    connsById_[conn->id] = conn.get();
+    loop_.add(std::move(conn));
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    telemetry::count(acceptedCtr_);
+    publishConnCount();
 }
 
 void
 Router::handleClientReadable(RConn *conn)
 {
-    if (conn->readClosed)
+    const std::uint8_t *data = nullptr;
+    const std::size_t n = conn->receive(data);
+    if (n == 0)
         return;
-    const long n = service::readSome(conn->fd, rdbuf_.data(),
-                                     rdbuf_.size());
-    if (n < 0) {
-        closeConn(conn);
-        return;
-    }
-    if (n == 0) {
-        conn->readClosed = true;
-        updateWriteInterest(conn->fd, conn->wantWrite, false);
-        pumpConn(conn);
-        return;
-    }
-    if (!conn->reader.feed(rdbuf_.data(),
-                           static_cast<std::size_t>(n))) {
-        telemetry::count(badFramesCtr_);
-        closeConn(conn);
-        return;
-    }
+    conn->reader.feed(data, n);
     // next() assigns into the same vector, so a whole burst of
     // frames reuses one buffer; dispatchFrame never takes the bytes.
     std::vector<std::uint8_t> payload;
-    while (!conn->readClosed && conn->reader.next(payload))
+    while (!conn->readClosed() && conn->reader.next(payload))
         dispatchFrame(conn, payload);
+    if (!conn->reader.error().empty() && !conn->readClosed()) {
+        // Oversized frame poisoned the reader: answer, then hang up.
+        telemetry::count(badFramesCtr_);
+        inlineResponse(conn, badFrameReply(nullptr, conn->reader.error()));
+        conn->stopReading();
+    }
     pumpConn(conn);
 }
 
 void
-Router::inlineResponse(RConn *conn, const Request &req, Status status,
-                       std::string text)
+Router::inlineResponse(RConn *conn, const Response &resp)
 {
-    conn->window.emplace_back();
-    Slot &slot = conn->window.back();
-    slot.payload = responsePayload(req, status, std::move(text));
+    Slot &slot = conn->window.push();
+    slot.payload = encodeResponse(resp);
     slot.ready = true;
-    ++conn->next;
 }
 
 void
@@ -601,22 +506,12 @@ Router::dispatchFrame(RConn *conn,
     std::string err;
     if (!decodeRequest(payload.data(), payload.size(), req, &err)) {
         telemetry::count(badFramesCtr_);
-        Request synthetic;
-        synthetic.type = MsgType::Health;
-        if (payload.size() >= 4)
-            synthetic.seq = static_cast<std::uint16_t>(
-                payload[2] | (payload[3] << 8));
-        inlineResponse(conn, synthetic, Status::Error, err);
-        conn->readClosed = true;
-        updateWriteInterest(conn->fd, conn->wantWrite, false);
+        inlineResponse(conn, badFrameReply(&payload, err));
+        conn->stopReading();
         return;
     }
-    if (req.type == MsgType::Health) {
-        inlineResponse(conn, req, Status::Ok, fleetJson());
-        return;
-    }
-    if (req.type == MsgType::Stats) {
-        inlineResponse(conn, req, Status::Ok, fleetJson());
+    if (req.type == MsgType::Health || req.type == MsgType::Stats) {
+        inlineResponse(conn, replyTo(req, Status::Ok, fleetJson()));
         return;
     }
 
@@ -640,11 +535,13 @@ Router::dispatchFrame(RConn *conn,
                                           std::memory_order_relaxed);
                     telemetry::count(capabilityCtr_);
                     inlineResponse(
-                        conn, req, Status::Capability,
-                        strprintf("device %u is in a vendor group "
-                                  "that cannot do the four-row "
-                                  "activation QUAC-TRNG needs",
-                                  req.device));
+                        conn,
+                        replyTo(req, Status::Capability,
+                                strprintf("device %u is in a vendor "
+                                          "group that cannot do the "
+                                          "four-row activation "
+                                          "QUAC-TRNG needs",
+                                          req.device)));
                     return;
                 }
             }
@@ -658,11 +555,12 @@ Router::dispatchFrame(RConn *conn,
             capability_.fetch_add(1, std::memory_order_relaxed);
             telemetry::count(capabilityCtr_);
             inlineResponse(
-                conn, req, Status::Capability,
-                strprintf("device %u is in a vendor group whose "
-                          "timing checkers drop the out-of-spec "
-                          "Frac sequence",
-                          req.device));
+                conn, replyTo(req, Status::Capability,
+                              strprintf("device %u is in a vendor "
+                                        "group whose timing checkers "
+                                        "drop the out-of-spec Frac "
+                                        "sequence",
+                                        req.device)));
             return;
         }
         has_key = true;
@@ -679,20 +577,20 @@ Router::dispatchFrame(RConn *conn,
         primary = pickRoundRobin();
     }
     if (primary < 0) {
-        inlineResponse(conn, req, Status::Error,
-                       "no healthy backend");
+        inlineResponse(conn, replyTo(req, Status::Error,
+                                     "no healthy backend"));
         return;
     }
 
     Pending p;
     p.connId = conn->id;
-    p.absIdx = conn->next++;
-    conn->window.emplace_back();
+    p.absIdx = conn->window.next();
+    conn->window.push();
     p.hasKey = has_key;
     p.key = key;
     p.req = req;
     p.deadlineNs =
-        nowNs_ +
+        loop_.nowNs() +
         static_cast<std::uint64_t>(cfg_.upstreamTimeoutMs) * 1'000'000;
     // A steered request needs a rewritten frame; everything else
     // forwards the client's bytes untouched (the length prefix is
@@ -728,66 +626,25 @@ Router::dispatchFrame(RConn *conn,
 void
 Router::pumpConn(RConn *conn)
 {
-    while (!conn->window.empty() && conn->window.front().ready) {
-        appendFramed(conn->outbuf, conn->window.front().payload);
-        conn->window.pop_front();
-        ++conn->base;
-    }
-    if (!flushConn(conn))
-        return;
-    if (conn->readClosed && conn->window.empty() &&
-        conn->outpos >= conn->outbuf.size())
-        closeConn(conn);
-}
-
-bool
-Router::flushConn(RConn *conn)
-{
-    while (conn->outpos < conn->outbuf.size()) {
-        const long n = service::writeSome(
-            conn->fd, conn->outbuf.data() + conn->outpos,
-            conn->outbuf.size() - conn->outpos);
-        if (n < 0) {
-            closeConn(conn);
-            return false;
-        }
-        if (n == 0)
-            break;
-        conn->outpos += static_cast<std::size_t>(n);
-    }
-    if (conn->outpos >= conn->outbuf.size()) {
-        conn->outbuf.clear();
-        conn->outpos = 0;
-    }
-    const bool want = !conn->outbuf.empty();
-    if (want != conn->wantWrite) {
-        conn->wantWrite = want;
-        updateWriteInterest(conn->fd, want, !conn->readClosed);
-    }
-    return true;
+    conn->window.popReady([conn](Slot &slot) {
+        appendFrame(conn->outChunk(), slot.payload);
+    });
+    conn->BufferedConn::pump();
 }
 
 void
-Router::updateWriteInterest(int fd, bool want, bool want_read)
+Router::connClosed(RConn *conn)
 {
-    epoll_event ev{};
-    ev.events = (want_read ? unsigned{EPOLLIN} : 0u) |
-                (want ? unsigned{EPOLLOUT} : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(epollFd_, EPOLL_CTL_MOD, fd, &ev);
-}
-
-void
-Router::closeConn(RConn *conn)
-{
-    ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, conn->fd, nullptr);
     connsById_.erase(conn->id);
-    const int fd = conn->fd;
-    service::closeFd(fd);
-    conns_.erase(fd); // frees conn
-    liveConns_.store(conns_.size(), std::memory_order_relaxed);
+    publishConnCount();
+}
+
+void
+Router::publishConnCount()
+{
+    liveConns_.store(loop_.clients(), std::memory_order_relaxed);
     telemetry::setGauge(connsGauge_,
-                        static_cast<std::int64_t>(conns_.size()));
+                        static_cast<std::int64_t>(loop_.clients()));
 }
 
 void
@@ -820,124 +677,14 @@ Router::applyBackendCommands()
 }
 
 void
-Router::tick(std::uint64_t now_ns)
+Router::expireUpstream(std::uint64_t now_ns)
 {
-    if (now_ns - lastTickNs_ < 50'000'000)
-        return;
-    lastTickNs_ = now_ns;
     for (std::size_t i = 0; i < backends_.size(); ++i) {
         Backend &b = *backends_[i];
-        if (b.fd >= 0 && !b.inflight.empty() &&
+        if (b.conn != nullptr && !b.inflight.empty() &&
             now_ns > b.inflight.front().deadlineNs)
             failBackend(i, "upstream response timeout");
     }
-}
-
-void
-Router::loop()
-{
-    std::vector<epoll_event> events(64);
-    bool drain_started = false;
-    while (true) {
-        const int n = ::epoll_wait(epollFd_, events.data(),
-                                   static_cast<int>(events.size()),
-                                   100);
-        const std::uint64_t now = monoNs();
-        nowNs_ = now;
-        for (int i = 0; i < n; ++i) {
-            const int fd = events[i].data.fd;
-            const std::uint32_t mask = events[i].events;
-            if (fd == eventFd_) {
-                std::uint64_t drainv = 0;
-                [[maybe_unused]] const auto r =
-                    ::read(eventFd_, &drainv, sizeof(drainv));
-                continue;
-            }
-            if (fd == listenFd_) {
-                handleAccept();
-                continue;
-            }
-            const auto bit = backendByFd_.find(fd);
-            if (bit != backendByFd_.end()) {
-                const std::size_t bi = bit->second;
-                if (mask & (EPOLLERR | EPOLLHUP)) {
-                    failBackend(bi, "connection error");
-                    continue;
-                }
-                if (mask & EPOLLIN)
-                    handleBackendReadable(bi);
-                if ((mask & EPOLLOUT) &&
-                    backends_[bi]->fd == fd)
-                    flushBackend(bi);
-                continue;
-            }
-            const auto cit = conns_.find(fd);
-            if (cit == conns_.end())
-                continue;
-            RConn *conn = cit->second.get();
-            if (mask & (EPOLLERR | EPOLLHUP)) {
-                closeConn(conn);
-                continue;
-            }
-            if (mask & EPOLLIN)
-                handleClientReadable(conn);
-            if ((mask & EPOLLOUT) && conns_.count(fd))
-                pumpConn(conn);
-        }
-        applyBackendCommands();
-        tick(now);
-        flushPending();
-        if (draining_.load(std::memory_order_acquire)) {
-            if (!drain_started) {
-                drain_started = true;
-                drainDeadlineNs_ = now + 3'000'000'000ULL;
-                ::epoll_ctl(epollFd_, EPOLL_CTL_DEL, listenFd_,
-                            nullptr);
-                std::vector<RConn *> all;
-                all.reserve(conns_.size());
-                for (auto &kv : conns_)
-                    all.push_back(kv.second.get());
-                for (RConn *conn : all) {
-                    service::shutdownRead(conn->fd);
-                    conn->readClosed = true;
-                    updateWriteInterest(conn->fd, conn->wantWrite,
-                                        false);
-                    pumpConn(conn);
-                }
-            }
-            bool busy = false;
-            for (const auto &kv : conns_) {
-                const RConn &c = *kv.second;
-                if (!c.window.empty() ||
-                    c.outpos < c.outbuf.size()) {
-                    busy = true;
-                    break;
-                }
-            }
-            if (!busy || now > drainDeadlineNs_)
-                break;
-        }
-    }
-    // Teardown on the loop thread so fds are closed exactly once.
-    std::vector<RConn *> rest;
-    rest.reserve(conns_.size());
-    for (auto &kv : conns_)
-        rest.push_back(kv.second.get());
-    for (RConn *conn : rest)
-        closeConn(conn);
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-        Backend &b = *backends_[i];
-        if (b.fd >= 0) {
-            service::closeFd(b.fd);
-            b.fd = -1;
-        }
-    }
-    service::closeFd(listenFd_);
-    listenFd_ = -1;
-    service::closeFd(eventFd_);
-    eventFd_ = -1;
-    service::closeFd(epollFd_);
-    epollFd_ = -1;
 }
 
 bool
@@ -966,7 +713,9 @@ Router::probeBackend(std::size_t bi)
 void
 Router::proberLoop()
 {
-    while (!stopProber_.load(std::memory_order_acquire)) {
+    std::unique_lock<std::mutex> lock(proberMutex_);
+    while (!stopProber_) {
+        lock.unlock();
         for (std::size_t i = 0; i < backends_.size(); ++i) {
             Backend &b = *backends_[i];
             const bool ok = probeBackend(i);
@@ -980,7 +729,7 @@ Router::proberLoop()
                     oks >= cfg_.readmitAfter) {
                     b.wantReadmit.store(true,
                                         std::memory_order_relaxed);
-                    wakeLoop();
+                    loop_.wake();
                 }
             } else {
                 b.probeOks.store(0, std::memory_order_relaxed);
@@ -992,17 +741,14 @@ Router::proberLoop()
                     fails >= cfg_.ejectAfter) {
                     b.wantEject.store(true,
                                       std::memory_order_relaxed);
-                    wakeLoop();
+                    loop_.wake();
                 }
             }
         }
-        for (int slept = 0;
-             slept < cfg_.probeIntervalMs &&
-             !stopProber_.load(std::memory_order_acquire);
-             slept += 10) {
-            const timespec ts = {0, 10'000'000};
-            ::nanosleep(&ts, nullptr);
-        }
+        lock.lock();
+        proberCv_.wait_for(lock,
+                           std::chrono::milliseconds(cfg_.probeIntervalMs),
+                           [this] { return stopProber_; });
     }
 }
 
@@ -1019,6 +765,8 @@ Router::fleetJson() const
        << liveConns_.load(std::memory_order_relaxed)
        << ", \"accepted\": "
        << accepted_.load(std::memory_order_relaxed)
+       << ", \"rejected\": "
+       << rejected_.load(std::memory_order_relaxed)
        << ", \"steered\": "
        << steered_.load(std::memory_order_relaxed)
        << ", \"capability_rejected\": "

@@ -1,9 +1,11 @@
 /**
  * @file
- * fracdram_router core: the fleet's level-2 tier (DESIGN.md §5j). A
- * single epoll event loop - the same share-nothing reactor shape as
- * the daemon's - terminates client connections speaking the daemon
- * wire protocol and fans the frames out over N daemon processes:
+ * fracdram_router core: the fleet's level-2 tier (DESIGN.md §5j). One
+ * service::EventLoop - the same loop core as the daemon's reactors,
+ * with the same front-end limits (connection cap answered BUSY,
+ * oversized frames answered ERROR, write-stalled clients dropped) -
+ * terminates client connections speaking the daemon wire protocol
+ * and fans the frames out over N daemon processes:
  *
  *  - placement: device-addressed work (PUF frames, GET_ENTROPY with
  *    kFlagDeviceId) routes by consistent hashing on the device id
@@ -44,14 +46,17 @@
 #define FRACDRAM_SERVICE_ROUTER_HH
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "service/event_loop.hh"
 #include "service/fleet.hh"
 #include "service/http.hh"
 #include "service/proto.hh"
@@ -60,7 +65,6 @@
 namespace fracdram::fleet
 {
 
-using service::FrameReader;
 using service::Request;
 using service::Status;
 
@@ -119,6 +123,14 @@ class Router
     {
         return readmissions_.load(std::memory_order_relaxed);
     }
+    std::size_t activeConnections() const
+    {
+        return liveConns_.load(std::memory_order_relaxed);
+    }
+    std::uint64_t rejectedConnections() const
+    {
+        return rejected_.load(std::memory_order_relaxed);
+    }
     std::string fleetJson() const;
     /** /metrics body: own families + healthy-backend aggregate. */
     std::string aggregateMetrics() const;
@@ -143,17 +155,16 @@ class Router
         std::uint64_t deadlineNs = 0;
     };
 
+    struct BackendConn;
+    struct RConn;
+
     /** Loop + prober state of one backend. */
     struct Backend
     {
         BackendAddr addr;
         // Loop-thread-only:
-        int fd = -1;
-        FrameReader reader;
+        BackendConn *conn = nullptr; //!< data link (owned by loop_)
         std::deque<Pending> inflight;
-        std::vector<std::uint8_t> outbuf;
-        std::size_t outpos = 0;
-        bool wantWrite = false;
         bool dirty = false; //!< queued in dirtyBackends_
         //! Forwards not yet published to `forwarded`/telemetry;
         //! flushed per loop turn so the hot path touches no atomics.
@@ -177,30 +188,12 @@ class Router
         bool ready = false;
     };
 
-    struct RConn
-    {
-        int fd = -1;
-        std::uint32_t id = 0;
-        FrameReader reader;
-        std::deque<Slot> window;
-        std::uint32_t base = 0; //!< abs index of window.front()
-        std::uint32_t next = 0; //!< abs index of the next frame
-        std::vector<std::uint8_t> outbuf;
-        std::size_t outpos = 0;
-        bool wantWrite = false;
-        bool readClosed = false;
-        bool dirty = false; //!< queued in dirtyConns_
-    };
-
-    void loop();
-    void wakeLoop();
-    void handleAccept();
+    void handleAccept(int fd);
     void handleClientReadable(RConn *conn);
     void handleBackendReadable(std::size_t bi);
     void dispatchFrame(RConn *conn,
                        const std::vector<std::uint8_t> &payload);
-    void inlineResponse(RConn *conn, const Request &req, Status status,
-                        std::string text);
+    void inlineResponse(RConn *conn, const service::Response &resp);
     void completeSlot(std::uint32_t conn_id, std::uint32_t abs_idx,
                       std::vector<std::uint8_t> &&payload);
     void sendToBackend(std::size_t bi, Pending &&p,
@@ -211,49 +204,43 @@ class Router
     int pickRoundRobin();
     bool backendAlive(int bi) const;
     void pumpConn(RConn *conn);
-    bool flushConn(RConn *conn);
-    void flushBackend(std::size_t bi);
     void markConnDirty(RConn *conn);
     void flushPending();
-    void updateWriteInterest(int fd, bool want, bool want_read);
-    void closeConn(RConn *conn);
-    void tick(std::uint64_t now_ns);
+    void connClosed(RConn *conn);
+    void publishConnCount();
+    void expireUpstream(std::uint64_t now_ns);
     void proberLoop();
     bool probeBackend(std::size_t bi);
-    std::string healthJsonLocked() const;
 
     const RouterConfig cfg_;
     HashRing ring_;
     std::vector<std::unique_ptr<Backend>> backends_;
     std::unique_ptr<service::HttpServer> http_;
-    std::thread loopThread_;
     std::thread proberThread_;
     int listenFd_ = -1;
-    int epollFd_ = -1;
-    int eventFd_ = -1;
     std::uint16_t port_ = 0;
-    bool running_ = false;
-    std::atomic<bool> draining_{false};
-    std::atomic<bool> stopProber_{false};
+    std::atomic<bool> running_{false}; //!< read by the loop and HTTP threads
     std::uint64_t startNs_ = 0;
+
+    /** @name Prober stop signal */
+    /// @{
+    std::mutex proberMutex_;
+    std::condition_variable proberCv_;
+    bool stopProber_ = false; //!< guarded by proberMutex_
+    /// @}
 
     /** @name Loop-thread-only state */
     /// @{
-    std::unordered_map<int, std::unique_ptr<RConn>> conns_; //!< by fd
     std::unordered_map<std::uint32_t, RConn *> connsById_;
-    std::unordered_map<int, std::size_t> backendByFd_;
     std::uint32_t nextConnId_ = 1;
     std::uint64_t rr_ = 0; //!< anonymous-entropy round-robin
-    std::uint64_t nowNs_ = 0; //!< refreshed once per loop turn
-    std::uint64_t lastTickNs_ = 0;
-    std::uint64_t drainDeadlineNs_ = 0;
-    std::vector<std::uint8_t> rdbuf_;
     // Deferred-flush queues: forwarding and completion only append
-    // to out-buffers and mark the owner dirty; flushPending() does
+    // to write queues and mark the owner dirty; flushPending() does
     // one write pass per loop turn, so a burst of frames costs one
-    // syscall per peer instead of one per frame.
+    // syscall per peer instead of one per frame. A conn closed
+    // during the turn stays allocated until the turn ends.
     std::vector<std::size_t> dirtyBackends_;
-    std::vector<std::uint32_t> dirtyConns_; //!< by conn id
+    std::vector<RConn *> dirtyConns_;
     /// @}
 
     /** @name Any-thread counters (mirrored into telemetry) */
@@ -263,6 +250,7 @@ class Router
     std::atomic<std::uint64_t> steered_{0};
     std::atomic<std::uint64_t> capability_{0};
     std::atomic<std::uint64_t> accepted_{0};
+    std::atomic<std::uint64_t> rejected_{0};
     std::atomic<std::size_t> liveConns_{0};
     /// @}
 
@@ -270,10 +258,12 @@ class Router
     /// @{
     telemetry::CounterId forwardedCtr_, replicatedCtr_,
         failedOverCtr_, steeredCtr_, capabilityCtr_, ejectionsCtr_,
-        readmissionsCtr_, acceptedCtr_, badFramesCtr_,
+        readmissionsCtr_, acceptedCtr_, rejectedCtr_, badFramesCtr_,
         readThroughCtr_;
     telemetry::GaugeId connsGauge_;
     /// @}
+
+    service::EventLoop loop_; //!< last: its thread uses everything above
 };
 
 } // namespace fracdram::fleet

@@ -1,37 +1,17 @@
 /**
  * @file
  * The FracDRAM serving daemon core: a loopback TCP listener in front
- * of a pool of device shards (see shard.hh).
+ * of a pool of device shards (see shard.hh), served by N reactor
+ * threads (see reactor.hh; reactor 0 owns the listen socket and deals
+ * accepted connections round-robin) and one worker thread per shard.
  *
- * Threading model (see reactor.hh for the event-loop details):
- *   - N reactor threads, each an epoll loop owning a slice of the
- *     connections; reactor 0 also owns the listen socket and hands
- *     accepted connections out round-robin (no accept thread, no
- *     thread per connection),
- *   - one worker thread per shard.
- *
- * Reactors parse every complete frame out of each read, dispatch the
- * shardable ones (entropy round-robins over shards, PUF routes by
- * device id so enrollments stay on their module), answer
- * HEALTH/STATS inline, and write responses in request order with one
- * writev per connection per loop turn - a pipelining client pays the
- * syscall and wakeup cost once per batch, not once per request.
- * Shard completions return to the owning reactor through an
- * eventfd-woken completion queue; out-of-order completions wait in a
- * per-connection ordered window so the pipelining contract holds.
- *
- * Backpressure is end-to-end: shard queues are bounded (full -> BUSY
- * response immediately), per-connection token buckets cap the
- * request rate (-> RATE_LIMITED), idle connections are closed after
- * idleTimeoutMs, and a peer that stops reading is dropped once its
- * write queue has stalled for writeTimeoutMs. stop() drains
- * gracefully: no new connections (read-side shutdown(2) wakes the
- * peers with EOF; the write side stays open so owed responses still
- * go out), every queued job is still answered, then shards stop.
- *
- * When pinning is enabled reactors take cores [0, R) and shard
- * workers cores [R, R + S) (modulo the machine), so the two thread
- * classes stop migrating across each other under load.
+ * Backpressure is end-to-end (DESIGN.md §5e): bounded shard queues
+ * answer BUSY when full, per-connection token buckets answer
+ * RATE_LIMITED, and the event loop drops idle connections and peers
+ * that stop reading. stop() drains gracefully: no new connections,
+ * every queued job is still answered, then the shards stop. When
+ * pinning is enabled reactors take cores [0, R) and shard workers
+ * cores [R, R + S) (modulo the machine).
  */
 
 #ifndef FRACDRAM_SERVICE_SERVER_HH

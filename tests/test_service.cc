@@ -7,7 +7,10 @@
  *
  * Every test runs a real Server on an ephemeral loopback port with
  * tiny shards (few columns, small queues) so the whole file stays
- * fast enough for the tsan preset.
+ * fast enough for the tsan preset. The front-end contract tests
+ * (connection cap, torn and oversized frames, a client that never
+ * reads) also run against a fleet router in front of the daemon:
+ * both front ends sit on the same event loop and must behave alike.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include "service/client.hh"
 #include "service/http.hh"
 #include "service/net.hh"
+#include "service/router.hh"
 #include "service/server.hh"
 #include "telemetry/metrics.hh"
 
@@ -54,26 +58,78 @@ testConfig(int shards = 2)
     return cfg;
 }
 
-/** RAII server: starts in the constructor, asserts success. */
+/** Which front end a test talks to. */
+enum class Front
+{
+    Daemon, //!< the daemon's own reactors
+    Router, //!< a fleet router in front of the daemon
+};
+
+/**
+ * RAII server: starts in the constructor, asserts success. With
+ * Front::Router the daemon runs behind a router given the same
+ * front-end limits: the connection cap, and the write-stall bound
+ * (the router's upstream timeout).
+ */
 struct TestServer
 {
-    explicit TestServer(const ServerConfig &cfg) : server(cfg)
+    explicit TestServer(const ServerConfig &cfg,
+                        Front front = Front::Daemon)
+        : server(front == Front::Router ? backendConfig(cfg) : cfg)
     {
         std::string err;
         const bool ok = server.start(&err);
         EXPECT_TRUE(ok) << err;
+        if (front == Front::Router) {
+            fleet::RouterConfig rc;
+            rc.backends.push_back({"127.0.0.1", server.port(), 0});
+            rc.maxConnections = cfg.maxConnections;
+            rc.upstreamTimeoutMs = cfg.writeTimeoutMs;
+            router = std::make_unique<fleet::Router>(rc);
+            EXPECT_TRUE(router->start(&err)) << err;
+        }
+    }
+
+    /** The daemon behind a router keeps the default connection cap:
+     *  the router's own links must not count against a test's cap. */
+    static ServerConfig backendConfig(ServerConfig cfg)
+    {
+        cfg.maxConnections = ServerConfig{}.maxConnections;
+        return cfg;
+    }
+
+    std::uint16_t port() const
+    {
+        return router ? router->port() : server.port();
+    }
+
+    std::uint64_t rejectedConnections() const
+    {
+        return router ? router->rejectedConnections()
+                      : server.rejectedConnections();
+    }
+
+    std::size_t activeConnections() const
+    {
+        return router ? router->activeConnections()
+                      : server.activeConnections();
     }
 
     Client connect()
     {
         Client c;
         std::string err;
-        EXPECT_TRUE(c.connect("127.0.0.1", server.port(), &err))
-            << err;
+        EXPECT_TRUE(c.connect("127.0.0.1", port(), &err)) << err;
         return c;
     }
 
     Server server;
+    std::unique_ptr<fleet::Router> router;
+};
+
+/** Runs a test once per front end. */
+class FrontEnd : public ::testing::TestWithParam<Front>
+{
 };
 
 /**
@@ -407,11 +463,11 @@ TEST(Service, RateLimitPerConnection)
     EXPECT_TRUE(c.health(json, &err)) << err;
 }
 
-TEST(Service, ConnectionLimit)
+TEST_P(FrontEnd, ConnectionLimit)
 {
     ServerConfig cfg = testConfig(1);
     cfg.maxConnections = 2;
-    TestServer ts(cfg);
+    TestServer ts(cfg, GetParam());
     Client a = ts.connect();
     Client b = ts.connect();
     // Exchange a request on each so both connections are provably
@@ -422,12 +478,11 @@ TEST(Service, ConnectionLimit)
 
     // The third connection gets a BUSY frame, then EOF.
     Client c;
-    ASSERT_TRUE(c.connect("127.0.0.1", ts.server.port(), &err))
-        << err;
+    ASSERT_TRUE(c.connect("127.0.0.1", ts.port(), &err)) << err;
     Response resp;
     ASSERT_TRUE(c.recv(resp, &err, 10000)) << err;
     EXPECT_EQ(resp.status, Status::Busy);
-    EXPECT_GE(ts.server.rejectedConnections(), 1u);
+    EXPECT_GE(ts.rejectedConnections(), 1u);
 }
 
 TEST(Service, GracefulDrain)
@@ -681,9 +736,9 @@ TEST(Service, HealthzFlipsUnderSloBreachAndRecovers)
  * order. Exercises the FrameReader resume path and the reactor's
  * partial-read handling end to end.
  */
-TEST(Service, TornFramesOneBytePerWrite)
+TEST_P(FrontEnd, TornFramesOneBytePerWrite)
 {
-    TestServer ts(testConfig());
+    TestServer ts(testConfig(), GetParam());
     Client c = ts.connect();
     std::string err;
 
@@ -715,9 +770,9 @@ TEST(Service, TornFramesOneBytePerWrite)
 }
 
 /** Same contract under random split points (seeded, reproducible). */
-TEST(Service, TornFramesRandomSplits)
+TEST_P(FrontEnd, TornFramesRandomSplits)
 {
-    TestServer ts(testConfig());
+    TestServer ts(testConfig(), GetParam());
     Client c = ts.connect();
     std::string err;
 
@@ -750,6 +805,65 @@ TEST(Service, TornFramesRandomSplits)
         EXPECT_EQ(resp.data.size(),
                   16u + 16u * static_cast<std::uint32_t>(i));
     }
+}
+
+/**
+ * A length prefix past the frame ceiling poisons the stream: the
+ * front end answers ERROR, then hangs up instead of leaving the
+ * client waiting.
+ */
+TEST_P(FrontEnd, OversizedFrameAnsweredThenClosed)
+{
+    TestServer ts(testConfig(), GetParam());
+    Client c = ts.connect();
+    std::string err;
+    const std::uint32_t n = static_cast<std::uint32_t>(kMaxFrameBytes) + 1;
+    const std::uint8_t prefix[4] = {
+        static_cast<std::uint8_t>(n), static_cast<std::uint8_t>(n >> 8),
+        static_cast<std::uint8_t>(n >> 16),
+        static_cast<std::uint8_t>(n >> 24)};
+    ASSERT_TRUE(writeAll(c.fd(), prefix, sizeof(prefix), &err)) << err;
+    Response resp;
+    ASSERT_TRUE(c.recv(resp, &err, 10000)) << err;
+    EXPECT_EQ(resp.status, Status::Error);
+    EXPECT_NE(resp.text.find("ceiling"), std::string::npos) << resp.text;
+    EXPECT_FALSE(c.recv(resp, &err, 10000));
+    EXPECT_NE(err.find("closed"), std::string::npos) << err;
+}
+
+/**
+ * A client that pipelines requests and never reads its answers
+ * stalls the front end's writes once both socket buffers fill; the
+ * write-stall bound must drop it rather than queue forever.
+ */
+TEST_P(FrontEnd, NeverReadingClientIsDropped)
+{
+    ServerConfig cfg = testConfig(1);
+    cfg.writeTimeoutMs = 300;
+    TestServer ts(cfg, GetParam());
+    Client c = ts.connect();
+    std::string err, json;
+    ASSERT_TRUE(c.health(json, &err)) << err;
+    ASSERT_EQ(ts.activeConnections(), 1u);
+
+    // ~40k HEALTH answers of a few hundred bytes each: far more than
+    // the kernel buffers of both ends hold.
+    Request req;
+    req.type = MsgType::Health;
+    const auto one = frame(encodeRequest(req));
+    std::vector<std::uint8_t> wire;
+    for (int i = 0; i < 40000; ++i)
+        wire.insert(wire.end(), one.begin(), one.end());
+    // The write may fail once the front end hangs up mid-burst.
+    writeAll(c.fd(), wire.data(), wire.size(), &err);
+
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (ts.activeConnections() != 0 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(ts.activeConnections(), 0u)
+        << "a never-reading client was never dropped";
 }
 
 /**
@@ -874,3 +988,11 @@ TEST(Service, SuppressedWarnsAreCounted)
     EXPECT_GE(counterOf("log.suppressed"), before + 2)
         << "3 bad frames, >=1 warn -> >=2 suppressions counted";
 }
+
+INSTANTIATE_TEST_SUITE_P(Service, FrontEnd,
+                         ::testing::Values(Front::Daemon, Front::Router),
+                         [](const ::testing::TestParamInfo<Front> &info) {
+                             return info.param == Front::Daemon
+                                        ? "Daemon"
+                                        : "Router";
+                         });
