@@ -47,23 +47,32 @@ measure(sim::DramGroup group, double eval_seconds,
     sim::DramChip chip(group, 1, params);
     softmc::MemoryController mc(chip, false);
     Puf device_puf(mc);
-    const puf::Challenge ch{0, 4};
-
-    Metrics m{};
-    m.evalSeconds = eval_seconds;
-    const auto enrolled = eval_fn(device_puf, ch);
-    m.intraSameTemp = puf::normalizedHammingDistance(
-        enrolled, eval_fn(device_puf, ch));
-    chip.env().temperatureC = 45.0;
-    m.intraCrossTemp = puf::normalizedHammingDistance(
-        enrolled, eval_fn(device_puf, ch));
-    chip.env().temperatureC = 20.0;
-
     sim::DramChip other(group, 2, params);
     softmc::MemoryController mc2(other, false);
     Puf puf2(mc2);
-    m.inter = puf::normalizedHammingDistance(enrolled,
-                                             eval_fn(puf2, ch));
+    // The retention PUF's signature is the few leaky cells of a row:
+    // on one 8 Kbit row the cells that fail only when hot are a
+    // Poisson count with mean ~1.2, zero on about a quarter of
+    // modules. Averaging over kChallenges rows measures the
+    // temperature effect rather than that draw.
+    constexpr int kChallenges = 8;
+    Metrics m{};
+    m.evalSeconds = eval_seconds;
+    for (int k = 0; k < kChallenges; ++k) {
+        const puf::Challenge ch{0, static_cast<RowAddr>(4 + k)};
+        const auto enrolled = eval_fn(device_puf, ch);
+        m.intraSameTemp += puf::normalizedHammingDistance(
+            enrolled, eval_fn(device_puf, ch));
+        chip.env().temperatureC = 45.0;
+        m.intraCrossTemp += puf::normalizedHammingDistance(
+            enrolled, eval_fn(device_puf, ch));
+        chip.env().temperatureC = 20.0;
+        m.inter += puf::normalizedHammingDistance(enrolled,
+                                                  eval_fn(puf2, ch));
+    }
+    m.intraSameTemp /= kChallenges;
+    m.intraCrossTemp /= kChallenges;
+    m.inter /= kChallenges;
     return m;
 }
 

@@ -1,151 +1,45 @@
 #include "common/rng.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
 #include "common/simd/ops.hh"
+#include "common/simd/ops_draw.hh"
 
 namespace fracdram
 {
 
-namespace
+std::uint64_t
+Rng::next()
 {
-
-/** Raw->uniform/Bernoulli chunk size: 2 KiB of raw words. */
-constexpr std::size_t kRawChunk = 256;
-
-} // namespace
+    return simd::draw::word(key_, words_++);
+}
 
 double
-Rng::materializeSpare()
+Rng::uniform()
 {
-    // Exactly the spare computation of the eager pair below, replayed
-    // from the stashed uniforms of a pair that skipGaussians deferred.
-    const double r = std::sqrt(-2.0 * std::log(spareU1_));
-    const double theta = 2.0 * M_PI * spareU2_;
-    spareLazy_ = false;
-    return r * std::sin(theta);
+    return simd::draw::toUniform(next());
 }
 
 double
 Rng::gaussian()
 {
-    if (hasSpare_) {
-        hasSpare_ = false;
-        return spareLazy_ ? materializeSpare() : spare_;
-    }
-    const double u1 = drawU1();
-    const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    spare_ = r * std::sin(theta);
-    spareLazy_ = false;
-    hasSpare_ = true;
-    return r * std::cos(theta);
-}
-
-double
-Rng::gaussianNoSpare()
-{
-    const double u1 = drawU1();
-    const double u2 = uniform();
-    const double r = std::sqrt(-2.0 * std::log(u1));
-    const double theta = 2.0 * M_PI * u2;
-    return r * std::cos(theta);
+    return simd::draw::gaussian(key_, gaussians_++);
 }
 
 void
 Rng::fillGaussian(std::span<double> dst, double mean, double sigma)
 {
-    std::size_t i = 0;
-    const std::size_t n = dst.size();
-    if (i < n && hasSpare_) {
-        hasSpare_ = false;
-        dst[i++] = mean + sigma *
-                              (spareLazy_ ? materializeSpare() : spare_);
-    }
-    // Uniforms are prefetched in chunks: raw engine words (the serial
-    // xoshiro recurrence cannot vectorize) mapped to doubles by the
-    // SIMD tier, consumed strictly in draw order. Each refill fetches
-    // at most the number of draws the scalar loop is guaranteed to
-    // still make (2 per remaining pair), so the engine never
-    // over-advances; a u1 rejection (raw>>11 == 0, p ~ 2^-53) only
-    // drains the FIFO early, and the tail falls back to live draws
-    // with the identical per-draw expression.
-    std::uint64_t raw[kRawChunk];
-    double uni[kRawChunk];
-    std::size_t avail = 0;
-    std::size_t pos = 0;
-    const auto take = [&]() -> double {
-        return pos < avail ? uni[pos++] : uniform();
-    };
-    while (i < n) {
-        if (pos == avail) {
-            const std::size_t want =
-                std::min(kRawChunk, 2 * ((n - i + 1) / 2));
-            for (std::size_t k = 0; k < want; ++k)
-                raw[k] = next();
-            simd::rawOps().uniformMap(uni, raw, want);
-            avail = want;
-            pos = 0;
-        }
-        double u1 = take();
-        while (u1 <= 0.0)
-            u1 = take();
-        const double u2 = take();
-        const double r = std::sqrt(-2.0 * std::log(u1));
-        const double theta = 2.0 * M_PI * u2;
-        // Keep the scalar path's evaluation order: the sine (spare)
-        // before the cosine (returned first). glibc computes both
-        // from the same argument, so order only matters for the
-        // stream-equivalence reasoning, not the values.
-        const double sine = r * std::sin(theta);
-        const double cosine = r * std::cos(theta);
-        dst[i++] = mean + sigma * cosine;
-        if (i < n) {
-            dst[i++] = mean + sigma * sine;
-        } else {
-            spare_ = sine;
-            spareLazy_ = false;
-            hasSpare_ = true;
-        }
-    }
+    simd::rawOps().gaussianFill(dst.data(), dst.size(), key_,
+                                gaussians_, mean, sigma);
+    gaussians_ += dst.size();
 }
 
 void
 Rng::fillChance(std::span<std::uint8_t> dst, double p)
 {
-    // One next() per slot in index order, exactly like the scalar
-    // loop; the raw->Bernoulli map (convert + compare + byte pack)
-    // runs in the SIMD tier.
-    const std::size_t n = dst.size();
-    std::uint64_t raw[kRawChunk];
-    for (std::size_t i = 0; i < n; i += kRawChunk) {
-        const std::size_t lim = std::min(kRawChunk, n - i);
-        for (std::size_t k = 0; k < lim; ++k)
-            raw[k] = next();
-        simd::rawOps().chanceMap(dst.data() + i, raw, p, lim);
-    }
-}
-
-void
-Rng::skipGaussians(std::size_t n)
-{
-    while (n > 0) {
-        if (hasSpare_) {
-            hasSpare_ = false;
-            --n;
-            continue;
-        }
-        // Consume a whole pair without the log/sqrt/sincos; stash the
-        // uniforms so a later live draw can still recover the spare.
-        spareU1_ = drawU1();
-        spareU2_ = uniform();
-        spareLazy_ = true;
-        hasSpare_ = true;
-        --n;
-    }
+    simd::rawOps().chanceFill(dst.data(), dst.size(), key_, words_, p);
+    words_ += dst.size();
 }
 
 double

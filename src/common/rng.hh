@@ -8,18 +8,12 @@
  * independent streams keyed by a hierarchy of integer tags, all derived
  * from one root seed via SplitMix64 hashing.
  *
- * Batched draws: the columnar kernels (sim/kernels) consume noise a
- * whole row at a time through fillGaussian/fillChance. These are
- * *stream-equivalent* to the scalar loops they replace: fillGaussian
- * over n slots advances the engine exactly as n gaussian(mean, sigma)
- * calls would, bit for bit, including the Box-Muller spare cache. See
- * DESIGN.md ("Columnar kernels") before touching any of this.
- *
- * skipGaussians advances the stream without paying for the
- * transcendentals; the half-drawn pair it may leave behind is stored
- * lazily (as its two uniforms) and only materialized if a later live
- * draw consumes it, so skipping is value-identical to drawing and
- * discarding.
+ * Rng is counter-based: every draw is a pure function of (key, kind,
+ * index) (common/simd/ops_draw.hh). A stream is a key plus two
+ * counters, one for raw words (next, uniform, chance) and one for
+ * gaussians, so skipping n draws is a counter add, and a row-wide fill
+ * is an element-wise map that the SIMD tiers vectorize (DESIGN.md,
+ * "Columnar kernels").
  */
 
 #ifndef FRACDRAM_COMMON_RNG_HH
@@ -42,93 +36,34 @@ splitmix64(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/**
- * The tag-dependent half of mixSeed. mixSeed(seed, tag) ==
- * mixSeedWithTag(seed, mixTag(tag)); hoisting mixTag pays the tag
- * hash once when one tag combines with many seeds (e.g. one column
- * against every per-purpose stream prefix).
- */
-inline std::uint64_t
-mixTag(std::uint64_t tag)
-{
-    return splitmix64(tag + 0x632be59bd9b4e019ULL);
-}
-
-inline std::uint64_t
-mixSeedWithTag(std::uint64_t seed, std::uint64_t tag_hash)
-{
-    return splitmix64(seed ^ tag_hash);
-}
-
 /** Combine a seed with a tag into a new independent seed. */
 inline std::uint64_t
 mixSeed(std::uint64_t seed, std::uint64_t tag)
 {
-    return mixSeedWithTag(seed, mixTag(tag));
+    return splitmix64(seed ^ splitmix64(tag + 0x632be59bd9b4e019ULL));
 }
 
 /**
- * A small, fast PRNG (xoshiro256**) with distribution helpers.
+ * A counter-based PRNG (Philox4x32-10) with distribution helpers.
+ *
+ * Word i of the stream is next()'s i-th result; gaussian j is half
+ * j & 1 (cosine, sine) of Box-Muller pair j >> 1. Each counter only
+ * moves forward by the draws of its own kind, so fill(a) then fill(b)
+ * equals fill(a + b) for any a and b.
  *
  * Not cryptographic; used only for simulating device physics.
  */
 class Rng
 {
   public:
-    explicit Rng(std::uint64_t seed)
-        : spare_(0.0), spareU1_(0.0), spareU2_(0.0), hasSpare_(false),
-          spareLazy_(false)
-    {
-        // Seed all four lanes through SplitMix64 as the xoshiro
-        // authors recommend; guards against the all-zero state.
-        std::uint64_t x = seed;
-        for (auto &lane : s_) {
-            x = splitmix64(x);
-            lane = x;
-        }
-        if (!(s_[0] | s_[1] | s_[2] | s_[3]))
-            s_[0] = 1;
-    }
-
-    /**
-     * The first next() a fresh Rng(seed) would return, without
-     * paying for the full four-lane seeding. Exact for every seed:
-     * the first output reads only lane 1, and the all-zero guard
-     * rewrites lane 0, which the first output never touches.
-     */
-    static std::uint64_t firstDraw(std::uint64_t seed)
-    {
-        const std::uint64_t s1 = splitmix64(splitmix64(seed));
-        return rotl(s1 * 5, 7) * 9;
-    }
-
-    /** chance(p) of a fresh Rng(seed), via firstDraw. */
-    static bool firstChance(std::uint64_t seed, double p)
-    {
-        return static_cast<double>(firstDraw(seed) >> 11) *
-                   0x1.0p-53 <
-               p;
-    }
+    /** A stream keyed by splitmix64(@p seed), both counters at 0. */
+    explicit Rng(std::uint64_t seed) : key_(splitmix64(seed)) {}
 
     /** Raw 64 random bits. */
-    std::uint64_t next()
-    {
-        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-        const std::uint64_t t = s_[1] << 17;
-        s_[2] ^= s_[0];
-        s_[3] ^= s_[1];
-        s_[1] ^= s_[2];
-        s_[0] ^= s_[3];
-        s_[2] ^= t;
-        s_[3] = rotl(s_[3], 45);
-        return result;
-    }
+    std::uint64_t next();
 
     /** Uniform double in [0, 1). */
-    double uniform()
-    {
-        return static_cast<double>(next() >> 11) * 0x1.0p-53;
-    }
+    double uniform();
 
     /** Uniform double in [lo, hi). */
     double uniform(double lo, double hi)
@@ -136,17 +71,8 @@ class Rng
         return lo + (hi - lo) * uniform();
     }
 
-    /** Standard normal via Box-Muller (cached spare). */
+    /** Standard normal via Box-Muller. */
     double gaussian();
-
-    /**
-     * Standard normal, identical to gaussian() on a stream with no
-     * cached spare, but without computing or storing the pair's
-     * second half. Only valid on a stream whose spare cache is empty
-     * and that will never draw another gaussian afterwards (throwaway
-     * hashed streams, e.g. VariationMap's per-cell streams).
-     */
-    double gaussianNoSpare();
 
     /** Normal with given mean and standard deviation. */
     double gaussian(double mean, double sigma)
@@ -169,51 +95,23 @@ class Rng
     /** Uniform integer in [0, n). Requires n > 0. */
     std::uint64_t below(std::uint64_t n);
 
-    /**
-     * Fill @p dst with draws identical to dst[i] = gaussian(mean,
-     * sigma) in index order (stream-equivalent batching).
-     */
+    /** dst[i] = the next gaussian(mean, sigma) draws, in order. */
     void fillGaussian(std::span<double> dst, double mean,
                       double sigma);
 
-    /**
-     * Fill @p dst with Bernoulli draws identical to dst[i] =
-     * chance(p) ? 1 : 0 in index order.
-     */
+    /** dst[i] = the next chance(p) draws, in order (1 = success). */
     void fillChance(std::span<std::uint8_t> dst, double p);
 
-    /**
-     * Advance the stream exactly as @p n gaussian() draws would -
-     * same next() consumption, same spare-cache hand-off to later
-     * draws - without computing the discarded values.
-     */
-    void skipGaussians(std::size_t n);
+    /** Advance past @p n raw-word draws (next, uniform, chance). */
+    void skip(std::size_t n) { words_ += n; }
+
+    /** Advance past @p n gaussian draws. */
+    void skipGaussians(std::size_t n) { gaussians_ += n; }
 
   private:
-    static std::uint64_t rotl(std::uint64_t x, int k)
-    {
-        return (x << k) | (x >> (64 - k));
-    }
-
-    /** First uniform of a Box-Muller pair (rejects exact zero). */
-    double drawU1()
-    {
-        double u1;
-        do {
-            u1 = uniform();
-        } while (u1 <= 0.0);
-        return u1;
-    }
-
-    /** Compute the deferred spare of a pair skipped lazily. */
-    double materializeSpare();
-
-    std::uint64_t s_[4];
-    double spare_;     //!< eager spare value (valid when !spareLazy_)
-    double spareU1_;   //!< uniforms of a lazily skipped pair
-    double spareU2_;
-    bool hasSpare_;
-    bool spareLazy_;
+    std::uint64_t key_;
+    std::uint64_t words_ = 0;     //!< index of the next raw word
+    std::uint64_t gaussians_ = 0; //!< index of the next gaussian
 };
 
 /**

@@ -1,18 +1,14 @@
 /**
  * @file
- * Reusable scratch storage for batched RNG draws.
+ * Reusable scratch storage for row-wide RNG fills.
  *
  * The columnar kernels consume row-wide spans of gaussians and
  * Bernoulli coins on every activation; allocating those arrays per
- * call would put the allocator back on the hot path the batching just
- * removed. An RngBuffer owns grow-only arrays and hands out spans
- * filled through Rng::fillGaussian / Rng::fillChance, which are
- * stream-equivalent to the scalar draw loops (see DESIGN.md,
- * "Columnar kernels").
- *
- * One RngBuffer per Bank (or per single-threaded consumer): the spans
- * alias the buffer's storage and are invalidated by the next fill of
- * the same kind.
+ * call would put the allocator on the hot path. An RngBuffer owns
+ * grow-only, 64-byte aligned arrays and hands out spans filled by
+ * Rng::fillGaussian / Rng::fillChance. One RngBuffer per Bank (or per
+ * single-threaded consumer): a span aliases the buffer and is
+ * invalidated by the next fill of the same kind.
  */
 
 #ifndef FRACDRAM_COMMON_RNG_BUFFER_HH
@@ -28,30 +24,32 @@
 namespace fracdram
 {
 
-/**
- * Grow-only scratch arrays for row-wide RNG draws.
- */
 class RngBuffer
 {
   public:
-    /**
-     * Draw @p n gaussians from @p rng, identical to n scalar
-     * gaussian(mean, sigma) calls in order.
-     * @return span valid until the next gaussian() fill
-     */
+    /** The next @p n gaussian(mean, sigma) draws of @p rng. */
     std::span<const double> gaussian(Rng &rng, std::size_t n,
-                                     double mean, double sigma);
+                                     double mean, double sigma)
+    {
+        if (gauss_.size() < n)
+            gauss_.resize(n);
+        const std::span<double> dst(gauss_.data(), n);
+        rng.fillGaussian(dst, mean, sigma);
+        return dst;
+    }
 
-    /**
-     * Draw @p n Bernoulli coins from @p rng, identical to n scalar
-     * chance(p) calls in order (1 = success).
-     * @return span valid until the next chance() fill
-     */
+    /** The next @p n chance(p) draws of @p rng (1 = success). */
     std::span<const std::uint8_t> chance(Rng &rng, std::size_t n,
-                                         double p);
+                                         double p)
+    {
+        if (coins_.size() < n)
+            coins_.resize(n);
+        const std::span<std::uint8_t> dst(coins_.data(), n);
+        rng.fillChance(dst, p);
+        return dst;
+    }
 
   private:
-    // 64-byte aligned: these spans feed the SIMD kernels directly.
     simd::AlignedVector<double> gauss_;
     simd::AlignedVector<std::uint8_t> coins_;
 };

@@ -1,36 +1,19 @@
 #include "common/simd/ops.hh"
 
+#include "common/simd/ops_draw.hh"
+
 namespace fracdram::simd
 {
 
 namespace
 {
 
-void
-uniformMapScalar(double *dst, const std::uint64_t *raw, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] = static_cast<double>(raw[i] >> 11) * 0x1.0p-53;
-}
-
-void
-chanceMapScalar(std::uint8_t *dst, const std::uint64_t *raw, double p,
-                std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] =
-            static_cast<double>(raw[i] >> 11) * 0x1.0p-53 < p ? 1 : 0;
-}
-
-const RawOps kScalarOps = {uniformMapScalar, chanceMapScalar};
+const RawOps kScalarOps = {draw::gaussianFill, draw::chanceFill};
 
 } // namespace
 
 #if FRACDRAM_HAVE_AVX2
 const RawOps &avx2RawOps(); // ops_avx2.cc
-#endif
-#if FRACDRAM_HAVE_AVX512
-const RawOps &avx512RawOps(); // ops_avx512.cc
 #endif
 
 const RawOps *
@@ -40,15 +23,10 @@ rawOpsForIsa(Isa isa)
     case Isa::Scalar:
         return &kScalarOps;
     case Isa::Avx2:
+    case Isa::Avx512: // the AVX2 table serves AVX-512 machines
 #if FRACDRAM_HAVE_AVX2
         if (cpuFeatures().avx2)
             return &avx2RawOps();
-#endif
-        return nullptr;
-    case Isa::Avx512:
-#if FRACDRAM_HAVE_AVX512
-        if (cpuFeatures().avx512)
-            return &avx512RawOps();
 #endif
         return nullptr;
     }

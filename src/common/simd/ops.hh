@@ -1,18 +1,17 @@
 /**
  * @file
- * Dispatched SIMD primitives over raw 64-bit RNG outputs.
+ * Dispatched SIMD fills of counter-based RNG draws.
  *
- * Rng's engine (xoshiro256**) is a serial recurrence, so the draws
- * themselves cannot be vectorized without changing the stream; what
- * *can* be vectorized is the map from raw draws to distribution
- * values. Rng::fillChance / fillGaussian batch their next() calls
- * into a raw buffer and run these kernels over it.
+ * Every Rng draw is a pure function of (key, kind, index) (see
+ * ops_draw.hh), so a row-wide fill is an element-wise map over
+ * consecutive indices: generate the Philox blocks and map them to
+ * Bernoulli coins or Box-Muller gaussians in one pass. Rng::fillChance
+ * and Rng::fillGaussian run these kernels.
  *
- * Bit-exactness: uniformMap reproduces Rng::uniform()'s
- * double(x >> 11) * 0x1.0p-53 exactly - x >> 11 < 2^53 is exactly
- * representable, and the 2^-53 scale only adjusts the exponent - so
- * every ISA yields the identical double, and chanceMap the identical
- * comparison result.
+ * Bit-exactness: every tier evaluates the per-element expressions of
+ * ops_draw.hh with the same roundings, so all tiers write identical
+ * bytes (tests/test_kernels_isa.cc memcmps them). The table has a
+ * scalar and an AVX2 tier; an AVX-512 machine runs the AVX2 tier.
  */
 
 #ifndef FRACDRAM_COMMON_SIMD_OPS_HH
@@ -26,15 +25,17 @@
 namespace fracdram::simd
 {
 
-/** Per-ISA function table for the raw-draw maps. */
+/** Per-ISA function table for the fused generate+map fills. */
 struct RawOps
 {
-    /** dst[i] = double(raw[i] >> 11) * 0x1.0p-53 (Rng::uniform). */
-    void (*uniformMap)(double *dst, const std::uint64_t *raw,
-                       std::size_t n);
-    /** dst[i] = uniform(raw[i]) < p ? 1 : 0 (Rng::chance). */
-    void (*chanceMap)(std::uint8_t *dst, const std::uint64_t *raw,
-                      double p, std::size_t n);
+    /** dst[i] = mean + sigma * draw::gaussian(key, index + i). */
+    void (*gaussianFill)(double *dst, std::size_t n, std::uint64_t key,
+                         std::uint64_t index, double mean,
+                         double sigma);
+    /** dst[i] = draw::toUniform(draw::word(key, index + i)) < p. */
+    void (*chanceFill)(std::uint8_t *dst, std::size_t n,
+                       std::uint64_t key, std::uint64_t index,
+                       double p);
 };
 
 /** The table for the resolved ISA (resolved once, like activeIsa). */

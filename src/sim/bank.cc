@@ -203,9 +203,9 @@ Bank::applyLeakage(RowStore &store)
         return; // just touched: nothing decayed, skip the exp() loop
     const double factor = -dt * ctx_.env.leakageScale();
     const std::size_t nvrt = store.vrtIdx.size();
-    // The VRT coin flip must be drawn for every VRT cell (ascending
-    // column order) to keep the trial RNG stream identical to the
-    // reference model, even where the voltage is already zero.
+    // One VRT coin per VRT cell (ascending column order), even where
+    // the voltage is already zero: the discard path of fullActivate
+    // skips exactly this many.
     std::span<const std::uint8_t> coins;
     if (nvrt != 0)
         coins = rngBuf_.chance(ctx_.trialRng, nvrt, 0.5);
@@ -230,17 +230,6 @@ Bank::applyLeakage(RowStore &store)
         }
     }
     store.lastTouch = ctx_.now;
-}
-
-void
-Bank::leakageStreamOnly(RowStore &store)
-{
-    const double dt = ctx_.now - store.lastTouch;
-    if (dt <= 0.0)
-        return; // the live path draws nothing either
-    const std::size_t nvrt = store.vrtIdx.size();
-    for (std::size_t k = 0; k < nvrt; ++k)
-        (void)ctx_.trialRng.chance(0.5);
 }
 
 void
@@ -513,17 +502,17 @@ Bank::fullActivate(bool discard_values)
     const auto cols = ctx_.params.colsPerRow;
 
     if (discard_values) {
-        // Advance the RNG streams exactly as the live path below
-        // would - per row the leakage coins and one jitter gaussian,
-        // then one sense-noise gaussian per column - without paying
-        // for the physics nobody can observe.
+        // Advance the RNG counters past the live path's draws - per
+        // row the leakage coins (when time passed) and one jitter
+        // gaussian, then one sense-noise gaussian per column -
+        // without paying for the physics nobody can observe.
         for (const auto &o : openRows_) {
             RowStore &store = ensureRow(o.row, /*values_dead=*/true);
-            leakageStreamOnly(store);
-            ctx_.trialRng.skipGaussians(1); // lognormal jitter
+            if (ctx_.now - store.lastTouch > 0.0)
+                ctx_.trialRng.skip(store.vrtIdx.size());
             store.lastTouch = ctx_.now;
         }
-        ctx_.trialRng.skipGaussians(cols);
+        ctx_.trialRng.skipGaussians(openRows_.size() + cols);
         rowBufferValid_ = true; // caller overwrites the buffer next
         if (telemetry::enabled())
             telemetry::count(bankCounters().discardedActivate);
@@ -538,8 +527,6 @@ Bank::fullActivate(bool discard_values)
 
     gatherOpenRows();
     ensureSaOffsets();
-    // Row-wide sense noise: same draws, same order as the scalar
-    // per-column loop (nothing else draws between columns).
     const auto noise =
         rngBuf_.gaussian(ctx_.trialRng, cols, 0.0, noise_sigma);
 

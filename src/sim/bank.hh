@@ -22,12 +22,11 @@
  * is first touched.
  *
  * The analog hot paths run on the columnar kernels (sim/kernels):
- * noise is drawn row-wide through the module's RngBuffer in exactly
- * the order the scalar reference loops drew it (DESIGN.md, "Columnar
- * kernels"), leakage decay factors are cached per row and exp factor,
- * and an activation that is resolved by a WRITE - whose sensed values
- * nothing can observe before the write overwrites them - advances the
- * RNG streams without paying for the physics.
+ * noise is drawn row-wide through the module's RngBuffer (DESIGN.md,
+ * "Columnar kernels"), leakage decay factors are cached per row and
+ * exp factor, and an activation that is resolved by a WRITE - whose
+ * sensed values nothing can observe before the write overwrites them
+ * - advances the RNG counters without paying for the physics.
  */
 
 #ifndef FRACDRAM_SIM_BANK_HH
@@ -171,12 +170,6 @@ class Bank
     void applyLeakage(RowAddr row);
     /** Leakage on an already-resolved store (saves the row lookup). */
     void applyLeakage(RowStore &store);
-    /**
-     * Consume the RNG draws of applyLeakage without touching the
-     * voltages (write-resolve path: every cell is overwritten before
-     * the next observation).
-     */
-    void leakageStreamOnly(RowStore &store);
     /** Find or build the decay-multiplier cache entry for a factor. */
     const DecayEntry &decayEntry(RowStore &store, double factor);
     /** Materialize the per-column sense-amp offset cache. */

@@ -34,38 +34,49 @@ VariationMap::VariationMap(const VendorProfile &profile,
 {
 }
 
-Rng
-VariationMap::cellStream(std::uint64_t purpose, BankAddr bank,
-                         RowAddr row, ColAddr col) const
+std::uint64_t
+VariationMap::bankSeed(std::uint64_t purpose, BankAddr bank) const
 {
-    std::uint64_t s = mixSeed(rootSeed_, purpose);
-    s = mixSeed(s, bank);
-    s = mixSeed(s, row);
-    s = mixSeed(s, col);
-    return Rng(s);
+    return mixSeed(mixSeed(rootSeed_, purpose), bank);
 }
 
-Rng
-VariationMap::colStream(std::uint64_t purpose, BankAddr bank,
-                        ColAddr col) const
+std::uint64_t
+VariationMap::rowSeed(std::uint64_t purpose, BankAddr bank,
+                      RowAddr row) const
 {
-    std::uint64_t s = mixSeed(rootSeed_, purpose);
-    s = mixSeed(s, bank);
-    s = mixSeed(s, col);
-    return Rng(s);
+    return mixSeed(bankSeed(purpose, bank), row);
+}
+
+bool
+VariationMap::cellChance(std::uint64_t purpose, BankAddr bank,
+                         RowAddr row, ColAddr col, double p) const
+{
+    Rng r(rowSeed(purpose, bank, row));
+    r.skip(col);
+    return r.chance(p);
+}
+
+double
+VariationMap::cellGaussian(std::uint64_t purpose, BankAddr bank,
+                           RowAddr row, ColAddr col, double sigma) const
+{
+    Rng r(rowSeed(purpose, bank, row));
+    r.skipGaussians(col);
+    return r.gaussian(0.0, sigma);
 }
 
 bool
 VariationMap::cellIsSlow(BankAddr bank, RowAddr row, ColAddr col) const
 {
-    Rng r = cellStream(kSlow, bank, row, col);
-    return r.chance(profile_.slowCellFraction);
+    return cellChance(kSlow, bank, row, col, profile_.slowCellFraction);
 }
 
 double
 VariationMap::cellAlpha(BankAddr bank, RowAddr row, ColAddr col) const
 {
-    Rng r = cellStream(kAlpha, bank, row, col);
+    // A stream of its own per cell: beta() draws a data-dependent
+    // number of values.
+    Rng r(mixSeed(rowSeed(kAlpha, bank, row), col));
     if (cellIsSlow(bank, row, col)) {
         // Slow access transistor: hardly connects within one cycle.
         return profile_.slowCellAlpha * (0.5 + r.uniform());
@@ -76,9 +87,9 @@ VariationMap::cellAlpha(BankAddr bank, RowAddr row, ColAddr col) const
 Seconds
 VariationMap::cellTau(BankAddr bank, RowAddr row, ColAddr col) const
 {
-    Rng r = cellStream(kTau, bank, row, col);
     const double median_s = profile_.tauMedianHours * 3600.0;
-    double tau = median_s * std::exp(profile_.tauSigma * r.gaussian());
+    double tau = median_s * std::exp(cellGaussian(kTau, bank, row, col,
+                                                  profile_.tauSigma));
     if (cellIsSlow(bank, row, col))
         tau *= profile_.slowCellTauBoost;
     if (cellIsLeaky(bank, row, col))
@@ -89,51 +100,52 @@ VariationMap::cellTau(BankAddr bank, RowAddr row, ColAddr col) const
 bool
 VariationMap::cellIsLeaky(BankAddr bank, RowAddr row, ColAddr col) const
 {
-    Rng r = cellStream(kLeaky, bank, row, col);
-    return r.chance(profile_.leakyCellFraction);
+    return cellChance(kLeaky, bank, row, col,
+                      profile_.leakyCellFraction);
 }
 
 bool
 VariationMap::cellIsVrt(BankAddr bank, RowAddr row, ColAddr col) const
 {
-    Rng r = cellStream(kVrt, bank, row, col);
-    return r.chance(profile_.vrtFraction);
+    return cellChance(kVrt, bank, row, col, profile_.vrtFraction);
 }
 
 double
 VariationMap::cellCoupling(BankAddr bank, RowAddr row, ColAddr col) const
 {
-    Rng r = cellStream(kCoupling, bank, row, col);
-    return r.lognormal(0.0, profile_.couplingSigma);
+    // lognormal(0, sigma) = exp(0 + sigma * N(0, 1)).
+    return std::exp(cellGaussian(kCoupling, bank, row, col,
+                                 profile_.couplingSigma));
 }
 
 Volt
 VariationMap::cellFracOffset(BankAddr bank, RowAddr row,
                              ColAddr col) const
 {
-    Rng r = cellStream(kFracOffset, bank, row, col);
-    return r.gaussian(0.0, profile_.cellFracOffsetSigma);
+    return cellGaussian(kFracOffset, bank, row, col,
+                        profile_.cellFracOffsetSigma);
 }
 
 Volt
 VariationMap::saOffset(BankAddr bank, ColAddr col) const
 {
-    Rng r = colStream(kSaOffset, bank, col);
+    Rng r(bankSeed(kSaOffset, bank));
+    r.skipGaussians(col);
     return r.gaussian(profile_.saOffsetMean, profile_.saOffsetSigma);
 }
 
 bool
 VariationMap::halfMClean(BankAddr bank, ColAddr col) const
 {
-    Rng r = colStream(kHalfClean, bank, col);
+    Rng r(bankSeed(kHalfClean, bank));
+    r.skip(col);
     return r.chance(profile_.halfMCleanFraction);
 }
 
 bool
 VariationMap::startupBit(BankAddr bank, RowAddr row, ColAddr col) const
 {
-    Rng r = cellStream(kStartup, bank, row, col);
-    return r.chance(0.5);
+    return cellChance(kStartup, bank, row, col, 0.5);
 }
 
 void
@@ -143,72 +155,41 @@ VariationMap::materializeRow(BankAddr bank, RowAddr row,
                              double *coupling, double *frac_off,
                              std::uint8_t *vrt) const
 {
-    // Row-invariant prefixes of the per-cell seed chains; appending
-    // the column below reproduces cellStream() bit for bit.
-    const auto prefix = [&](std::uint64_t purpose) {
-        return mixSeed(mixSeed(mixSeed(rootSeed_, purpose), bank),
-                       row);
+    // Each single-draw parameter is draw c of its row stream, so the
+    // whole row is one fill per purpose.
+    const auto coins = [&](std::uint64_t purpose, std::uint8_t *dst,
+                           double p) {
+        Rng(rowSeed(purpose, bank, row)).fillChance({dst, cols}, p);
     };
-    const std::uint64_t p_startup = prefix(kStartup);
-    const std::uint64_t p_slow = prefix(kSlow);
-    const std::uint64_t p_alpha = prefix(kAlpha);
-    const std::uint64_t p_tau = prefix(kTau);
-    const std::uint64_t p_leaky = prefix(kLeaky);
-    const std::uint64_t p_vrt = prefix(kVrt);
-    const std::uint64_t p_coupling = prefix(kCoupling);
-    const std::uint64_t p_frac = prefix(kFracOffset);
+    const auto normals = [&](std::uint64_t purpose, double *dst,
+                             double sigma) {
+        Rng(rowSeed(purpose, bank, row))
+            .fillGaussian({dst, cols}, 0.0, sigma);
+    };
+    if (startup)
+        coins(kStartup, startup, 0.5);
+    coins(kVrt, vrt, profile_.vrtFraction);
+    std::vector<std::uint8_t> slow(cols), leaky(cols);
+    coins(kSlow, slow.data(), profile_.slowCellFraction);
+    coins(kLeaky, leaky.data(), profile_.leakyCellFraction);
+    normals(kTau, tau, profile_.tauSigma);
+    normals(kCoupling, coupling, profile_.couplingSigma);
+    normals(kFracOffset, frac_off, profile_.cellFracOffsetSigma);
 
+    const std::uint64_t p_alpha = rowSeed(kAlpha, bank, row);
     const double median_s = profile_.tauMedianHours * 3600.0;
-
     for (std::size_t c = 0; c < cols; ++c) {
-        // One column tag hash shared by all eight seed chains. The
-        // one-draw Bernoulli streams go through Rng::firstChance,
-        // which produces the identical draw without the full
-        // four-lane seeding.
-        const std::uint64_t ct = mixTag(c);
-        if (startup)
-            startup[c] = Rng::firstChance(
-                             mixSeedWithTag(p_startup, ct), 0.5)
-                             ? 1
-                             : 0;
-        const bool slow = Rng::firstChance(mixSeedWithTag(p_slow, ct),
-                                           profile_.slowCellFraction);
-        {
-            Rng r(mixSeedWithTag(p_alpha, ct));
-            alpha[c] = slow ? profile_.slowCellAlpha *
-                                  (0.5 + r.uniform())
-                            : r.beta(profile_.settleAlphaA,
-                                     profile_.settleAlphaB);
-        }
-        const bool leaky =
-            Rng::firstChance(mixSeedWithTag(p_leaky, ct),
-                             profile_.leakyCellFraction);
-        {
-            Rng r(mixSeedWithTag(p_tau, ct));
-            double t = median_s *
-                       std::exp(profile_.tauSigma *
-                                r.gaussianNoSpare());
-            if (slow)
-                t *= profile_.slowCellTauBoost;
-            if (leaky)
-                t *= profile_.leakyTauScale;
-            tau[c] = t;
-        }
-        {
-            // lognormal(0, sigma) = exp(0 + sigma * N(0, 1)).
-            Rng r(mixSeedWithTag(p_coupling, ct));
-            coupling[c] = std::exp(
-                0.0 + profile_.couplingSigma * r.gaussianNoSpare());
-        }
-        {
-            Rng r(mixSeedWithTag(p_frac, ct));
-            frac_off[c] = 0.0 + profile_.cellFracOffsetSigma *
-                                    r.gaussianNoSpare();
-        }
-        vrt[c] = Rng::firstChance(mixSeedWithTag(p_vrt, ct),
-                                  profile_.vrtFraction)
-                     ? 1
-                     : 0;
+        Rng r(mixSeed(p_alpha, c));
+        alpha[c] = slow[c] ? profile_.slowCellAlpha * (0.5 + r.uniform())
+                           : r.beta(profile_.settleAlphaA,
+                                    profile_.settleAlphaB);
+        double t = median_s * std::exp(tau[c]);
+        if (slow[c])
+            t *= profile_.slowCellTauBoost;
+        if (leaky[c])
+            t *= profile_.leakyTauScale;
+        tau[c] = t;
+        coupling[c] = std::exp(coupling[c]);
     }
 }
 

@@ -5,9 +5,10 @@
  * Every manufacturing-time parameter of a module (per-cell settling
  * speed, leakage time constant, coupling strength, per-column sense-amp
  * offset, ...) is a pure function of the module serial and the cell
- * coordinates, derived by hashing. This keeps memory usage independent
- * of the array size and guarantees that experiments touching cells in
- * any order see identical silicon.
+ * coordinates: serial, purpose, bank and row hash into the key of a
+ * counter-based stream, and the column indexes the draw. This keeps
+ * memory usage independent of the array size and guarantees that
+ * experiments touching cells in any order see identical silicon.
  */
 
 #ifndef FRACDRAM_SIM_VARIATION_HH
@@ -78,14 +79,13 @@ class VariationMap
     /**
      * Materialize every per-cell parameter of one row in a single
      * pass. Produces exactly the values of the per-cell accessors
-     * above (same hashed streams, same draw order), but hoists the
-     * row-invariant prefix of each stream's seed chain and computes
-     * the shared slow/leaky draws once per cell instead of once per
-     * accessor. Every output array must hold @p cols elements.
-     * @p startup may be null to skip the power-up-content stream
-     * entirely (legal because the streams are independent hashes; use
-     * when the row's initial voltages are known to be overwritten
-     * before anything observes them).
+     * above: each single-draw parameter of cell c is draw c of a
+     * per-(purpose, bank, row) stream, so the row is one fill per
+     * purpose; alpha draws from a stream per cell. Every output array
+     * must hold @p cols elements. @p startup may be null to skip the
+     * power-up-content stream (legal because the streams are
+     * independent; use when the row's initial voltages are known to
+     * be overwritten before anything observes them).
      */
     void materializeRow(BankAddr bank, RowAddr row, std::size_t cols,
                         std::uint8_t *startup, double *alpha,
@@ -96,10 +96,17 @@ class VariationMap
     std::uint64_t serial() const { return serial_; }
 
   private:
-    Rng cellStream(std::uint64_t purpose, BankAddr bank, RowAddr row,
-                   ColAddr col) const;
-    Rng colStream(std::uint64_t purpose, BankAddr bank,
-                  ColAddr col) const;
+    /** Seed of one purpose's stream over a bank; column c draws at c. */
+    std::uint64_t bankSeed(std::uint64_t purpose, BankAddr bank) const;
+    /** Seed of one purpose's stream over a row; cell c draws at c. */
+    std::uint64_t rowSeed(std::uint64_t purpose, BankAddr bank,
+                          RowAddr row) const;
+    /** Word @p col of a row stream, as chance(p). */
+    bool cellChance(std::uint64_t purpose, BankAddr bank, RowAddr row,
+                    ColAddr col, double p) const;
+    /** Gaussian @p col of a row stream, as gaussian(0, sigma). */
+    double cellGaussian(std::uint64_t purpose, BankAddr bank, RowAddr row,
+                        ColAddr col, double sigma) const;
 
     const VendorProfile &profile_;
     std::uint64_t serial_;

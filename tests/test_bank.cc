@@ -375,3 +375,49 @@ TEST_F(BankTest, RestoreTruncationMonotoneInOpenTime)
     }
     EXPECT_GT(prev, 1.45); // full restore at tRAS
 }
+
+TEST(BankStreams, WriteResolvedActivationAdvancesLikeSensing)
+{
+    // An ACT that a WRITE resolves skips its sensing draws (leakage
+    // coins, jitter, sense noise) by counter adds; an ACT sensed by a
+    // READ first draws them. Afterwards both chips must sit at the
+    // same RNG counters, so the same Frac gives identical voltages.
+    DramParams p = smallParams();
+    p.colsPerRow = 2048; // ~10 VRT cells a row: leakage draws coins
+    DramChip skipped{DramGroup::B, 1, p};
+    DramChip sensed{DramGroup::B, 1, p};
+    Cycles ts = 100, tl = 100;
+    writeRowHigh(skipped, ts, 0, 4, true);
+    writeRowHigh(sensed, tl, 0, 4, true);
+    skipped.advanceTime(60.0);
+    sensed.advanceTime(60.0);
+
+    writeRowHigh(skipped, ts, 0, 4, false);
+    const BitVector zeros(p.colsPerRow, sensed.rowIsAnti(0, 4));
+    sensed.act(tl, 0, 4);
+    tl += 6;
+    (void)sensed.read(tl, 0);
+    sensed.write(tl, 0, zeros);
+    tl += 10;
+    sensed.pre(tl, 0);
+    tl += 6;
+
+    for (auto [chip, t] : {std::pair{&skipped, &ts}, {&sensed, &tl}}) {
+        writeRowHigh(*chip, *t, 0, 5, true);
+        chip->advanceTime(60.0); // the Frac's leakage draws VRT coins
+        chip->pre(*t, 0);
+        *t += 5;
+        chip->act(*t, 0, 5);
+        chip->pre(*t + 1, 0);
+        *t += 10;
+        chip->flushAll(*t);
+    }
+    for (ColAddr c = 0; c < p.colsPerRow; ++c) {
+        ASSERT_EQ(skipped.bank(0).cellVoltage(4, c),
+                  sensed.bank(0).cellVoltage(4, c))
+            << "col " << c;
+        ASSERT_EQ(skipped.bank(0).cellVoltage(5, c),
+                  sensed.bank(0).cellVoltage(5, c))
+            << "col " << c;
+    }
+}

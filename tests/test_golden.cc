@@ -5,8 +5,8 @@
  * hashed with SHA-256 and compared against checked-in digests. Any
  * change to the physics model, the RNG draw order, or the study
  * plumbing that alters even one output bit flips the digest - this is
- * what lets the columnar kernel layer claim bit-exactness against the
- * scalar reference implementation it replaced.
+ * what lets the columnar kernel layer and the SIMD tiers claim
+ * bit-exactness against the scalar reference.
  *
  * Regenerating the digests (only after an *intentional* behaviour
  * change, reviewed as such):
@@ -47,9 +47,9 @@ namespace
 const char *const kGoldenCapability =
     "addc794357f4267a8d2e8dc2266d17e2bed9830deb99d81d5a1900973b103686";
 const char *const kGoldenFmajCoverage =
-    "e176de170066f68fbd34a75924fa682a9fbbb26c1c2e2cc4ab4e9a79bc8ac428";
+    "8202e294684c91465ed2d646aa074ce7c603cdd41090d58189fb32008cdf3e74";
 const char *const kGoldenPuf =
-    "da3e5e88544769e0f22fb43895eb405705d9262c557e24201e7d43e9512755bc";
+    "8cfdffe1eb77418642858ba1840d1c5fbf8749dff1c0766ffa7f6a4b8c32bc29";
 
 bool
 regenMode()
@@ -85,9 +85,8 @@ checkDigest(const char *name, const char *expected,
         << name << " drifted: the studies no longer produce "
         << "bit-identical output. If the change is intentional, "
         << "regenerate with FRACDRAM_GOLDEN_REGEN=1 (see file "
-        << "header); otherwise the kernel layer broke the "
-        << "stream-equivalence invariant (see DESIGN.md, Columnar "
-        << "kernels).";
+        << "header); otherwise a kernel or RNG tier broke "
+        << "bit-exactness (see DESIGN.md, Columnar kernels).";
 }
 
 } // namespace

@@ -54,7 +54,11 @@ class NistGoodStream : public ::testing::Test
     static const BitVector &
     stream()
     {
-        static const BitVector s = prngStream(1 << 20, 7);
+        // A good stream fails some test at alpha = 0.01 about 30% of
+        // the time (the excursion tests alone judge 26 p-values), so
+        // this pins one stream that passes; re-pin it when Rng's
+        // stream changes.
+        static const BitVector s = prngStream(1 << 20, 8);
         return s;
     }
 };

@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
+#include "common/simd/ops_draw.hh"
 
 using namespace fracdram;
 
@@ -164,4 +167,114 @@ TEST(RngFactory, MixSeedAvalanche)
     const auto b = mixSeed(0, 2);
     int differing = std::popcount(a ^ b);
     EXPECT_GT(differing, 16);
+}
+
+namespace
+{
+
+constexpr std::size_t kSweep = std::size_t{1} << 20;
+
+/** Two-sided 99.9% normal quantile. */
+constexpr double kZ999 = 3.2905;
+
+/** Whether k hits out of n fall inside the binomial 99.9% band. */
+::testing::AssertionResult
+binomialHolds(std::size_t k, std::size_t n, double p)
+{
+    const double mean = static_cast<double>(n) * p;
+    const double sd = std::sqrt(mean * (1.0 - p));
+    const double got = static_cast<double>(k);
+    if (std::fabs(got - mean) <= kZ999 * sd)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << k << " of " << n << " outside " << mean << " +- "
+           << kZ999 * sd;
+}
+
+/** Standard normal CDF. */
+double
+phi(double x)
+{
+    return 0.5 * std::erfc(-x / std::sqrt(2.0));
+}
+
+} // namespace
+
+TEST(RngMath, LogMatchesLibm)
+{
+    // (0, 1] on a uniform grid, then every binade down to 2^-60.
+    double worst = 0.0;
+    for (std::size_t i = 1; i <= kSweep; ++i) {
+        const double u = static_cast<double>(i) / kSweep;
+        worst = std::max(worst, std::fabs(simd::draw::logPositive(u) -
+                                          std::log(u)));
+    }
+    for (int e = 20; e <= 60; ++e)
+        for (int i = 0; i < 1024; ++i) {
+            const double u = std::ldexp(1.0 + i / 1024.0, -e);
+            worst = std::max(worst,
+                             std::fabs(simd::draw::logPositive(u) -
+                                       std::log(u)));
+        }
+    EXPECT_LE(worst, 1e-13);
+}
+
+TEST(RngMath, SincosMatchesLibm)
+{
+    double worst = 0.0;
+    for (std::size_t i = 0; i < kSweep; ++i) {
+        const double u = static_cast<double>(i) / kSweep;
+        const auto t = simd::draw::turn(u);
+        const double theta = 2.0 * M_PI * u;
+        worst = std::max({worst, std::fabs(t.cos - std::cos(theta)),
+                          std::fabs(t.sin - std::sin(theta))});
+    }
+    EXPECT_LE(worst, 1e-13);
+}
+
+TEST(RngMath, GaussianDistribution)
+{
+    Rng r(43);
+    std::vector<double> xs(kSweep);
+    r.fillGaussian(xs, 0.0, 1.0);
+    const double n = static_cast<double>(kSweep);
+    double sum = 0.0, sq = 0.0;
+    std::size_t beyond3 = 0, beyond4 = 0;
+    for (const double x : xs) {
+        sum += x;
+        sq += x * x;
+        beyond3 += std::fabs(x) > 3.0;
+        beyond4 += std::fabs(x) > 4.0;
+    }
+    const double mean = sum / n;
+    const double var = sq / n - mean * mean;
+    // 99.9% bands of the sample mean and variance of N(0, 1).
+    EXPECT_LE(std::fabs(mean), kZ999 / std::sqrt(n));
+    EXPECT_LE(std::fabs(var - 1.0), kZ999 * std::sqrt(2.0 / n));
+    EXPECT_TRUE(binomialHolds(beyond3, kSweep, 2.0 * phi(-3.0)));
+    EXPECT_TRUE(binomialHolds(beyond4, kSweep, 2.0 * phi(-4.0)));
+
+    // Kolmogorov-Smirnov against Phi; 1.949 / sqrt(n) is the
+    // asymptotic critical value at alpha = 0.001.
+    std::sort(xs.begin(), xs.end());
+    double d = 0.0;
+    for (std::size_t i = 0; i < kSweep; ++i) {
+        const double f = phi(xs[i]);
+        d = std::max({d, f - static_cast<double>(i) / n,
+                      static_cast<double>(i + 1) / n - f});
+    }
+    EXPECT_LE(d, 1.949 / std::sqrt(n));
+}
+
+TEST(RngMath, ChanceFrequencies)
+{
+    for (const double p : {0.001, 0.3, 0.5}) {
+        Rng r(47);
+        std::vector<std::uint8_t> coins(kSweep);
+        r.fillChance(coins, p);
+        std::size_t hits = 0;
+        for (const auto c : coins)
+            hits += c;
+        EXPECT_TRUE(binomialHolds(hits, kSweep, p)) << "p=" << p;
+    }
 }

@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for the batched-RNG layer: RngBuffer fills, the
- * Rng::fillGaussian / fillChance / skipGaussians stream-equivalence
- * contract the columnar kernels rely on, the firstDraw shortcut, and
- * the interaction with the trial engine's mixSeed-based seeding at
- * several thread counts.
+ * Tests for the counter-based RNG contract the columnar kernels rely
+ * on: a draw is a pure function of (key, kind, index), so fills
+ * compose (fill(a) then fill(b) == fill(a + b)), skips are counter
+ * adds, the word and gaussian counters are independent, and the
+ * Philox core matches the published known answers. Also covers
+ * RngBuffer and the trial engine's mixSeed-seeded streams at several
+ * thread counts.
  */
 
 #include <cstdint>
@@ -15,6 +17,7 @@
 #include "common/parallel.hh"
 #include "common/rng.hh"
 #include "common/rng_buffer.hh"
+#include "common/simd/ops_draw.hh"
 
 using namespace fracdram;
 
@@ -23,145 +26,176 @@ namespace
 
 constexpr std::uint64_t kSeed = 0x5eedULL;
 
-/** n scalar gaussian(mean, sigma) draws from a fresh stream. */
+/** Sizes with both parities and lengths past one vector group. */
+constexpr std::size_t kSizes[] = {0, 1, 2, 3, 7, 8, 9, 16, 17, 100, 255};
+
 std::vector<double>
-scalarGaussians(std::uint64_t seed, std::size_t n, double mean,
-                double sigma)
+fillGaussians(Rng &rng, std::size_t n, double mean = 0.0,
+              double sigma = 1.0)
 {
-    Rng rng(seed);
     std::vector<double> out(n);
-    for (auto &v : out)
-        v = rng.gaussian(mean, sigma);
+    rng.fillGaussian(out, mean, sigma);
+    return out;
+}
+
+std::vector<std::uint8_t>
+fillCoins(Rng &rng, std::size_t n, double p)
+{
+    std::vector<std::uint8_t> out(n);
+    rng.fillChance(out, p);
     return out;
 }
 
 } // namespace
 
-TEST(RngBuffer, GaussianMatchesScalarDraws)
+TEST(RngCounter, PhiloxKnownAnswers)
 {
-    for (const std::size_t n : {std::size_t{1}, std::size_t{2},
-                                std::size_t{7}, std::size_t{128},
-                                std::size_t{1001}}) {
-        Rng rng(kSeed);
-        RngBuffer buf;
-        const auto span = buf.gaussian(rng, n, 0.25, 1.5);
-        ASSERT_EQ(span.size(), n);
-        const auto ref = scalarGaussians(kSeed, n, 0.25, 1.5);
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_EQ(span[i], ref[i]) << "n=" << n << " i=" << i;
+    // Random123's kat_vectors for philox4x32, 10 rounds.
+    struct Kat
+    {
+        simd::draw::Block ctr;
+        std::uint32_t k0, k1;
+        simd::draw::Block want;
+    };
+    const Kat kats[] = {
+        {{{0, 0, 0, 0}},
+         0,
+         0,
+         {{0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8}}},
+        {{{0xffffffff, 0xffffffff, 0xffffffff, 0xffffffff}},
+         0xffffffff,
+         0xffffffff,
+         {{0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd}}},
+        {{{0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344}},
+         0xa4093822,
+         0x299f31d0,
+         {{0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1}}},
+    };
+    for (const Kat &k : kats) {
+        const auto got = simd::draw::philox4x32(k.ctr, k.k0, k.k1);
+        for (int i = 0; i < 4; ++i)
+            EXPECT_EQ(got.x[i], k.want.x[i]) << "word " << i;
     }
 }
 
-TEST(RngBuffer, ChanceMatchesScalarDraws)
+TEST(RngCounter, FillsCompose)
 {
-    Rng a(kSeed);
-    Rng b(kSeed);
-    RngBuffer buf;
-    const auto span = buf.chance(a, 513, 0.3);
-    ASSERT_EQ(span.size(), 513u);
-    for (std::size_t i = 0; i < span.size(); ++i)
-        EXPECT_EQ(span[i], b.chance(0.3) ? 1 : 0) << "i=" << i;
+    // fill(a) then fill(b) == fill(a + b), for every parity of a, b.
+    for (const std::size_t a : kSizes)
+        for (const std::size_t b : kSizes) {
+            Rng split(kSeed);
+            auto got = fillGaussians(split, a, 0.25, 1.5);
+            const auto tail = fillGaussians(split, b, 0.25, 1.5);
+            got.insert(got.end(), tail.begin(), tail.end());
+            Rng whole(kSeed);
+            EXPECT_EQ(got, fillGaussians(whole, a + b, 0.25, 1.5))
+                << "a=" << a << " b=" << b;
+
+            Rng csplit(kSeed);
+            auto coins = fillCoins(csplit, a, 0.3);
+            const auto ctail = fillCoins(csplit, b, 0.3);
+            coins.insert(coins.end(), ctail.begin(), ctail.end());
+            Rng cwhole(kSeed);
+            EXPECT_EQ(coins, fillCoins(cwhole, a + b, 0.3))
+                << "a=" << a << " b=" << b;
+        }
 }
 
-TEST(RngBuffer, ConsecutiveFillsContinueTheStream)
+TEST(RngCounter, ScalarDrawsEqualFills)
 {
-    // Two buffered fills back to back must equal one scalar sequence:
-    // the buffer only stores, it never re-seeds or skips.
+    Rng g(kSeed), c(kSeed);
+    Rng gf(kSeed), cf(kSeed);
+    const auto gauss = fillGaussians(gf, 1001, 0.25, 1.5);
+    const auto coins = fillCoins(cf, 513, 0.3);
+    for (std::size_t i = 0; i < gauss.size(); ++i)
+        EXPECT_EQ(g.gaussian(0.25, 1.5), gauss[i]) << "i=" << i;
+    for (std::size_t i = 0; i < coins.size(); ++i)
+        EXPECT_EQ(c.chance(0.3) ? 1 : 0, coins[i]) << "i=" << i;
+}
+
+TEST(RngCounter, SkipThenFillIsTailOfLongerFill)
+{
+    for (const std::size_t n : kSizes)
+        for (const std::size_t m : {1, 2, 9, 64}) {
+            Rng whole(kSeed);
+            const auto all = fillGaussians(whole, n + m);
+            Rng skipped(kSeed);
+            skipped.skipGaussians(n);
+            const std::vector<double> want(all.begin() + n, all.end());
+            EXPECT_EQ(fillGaussians(skipped, m), want)
+                << "n=" << n << " m=" << m;
+
+            Rng cwhole(kSeed);
+            const auto call = fillCoins(cwhole, n + m, 0.5);
+            Rng cskipped(kSeed);
+            cskipped.skip(n);
+            const std::vector<std::uint8_t> cwant(call.begin() + n,
+                                                  call.end());
+            EXPECT_EQ(fillCoins(cskipped, m, 0.5), cwant)
+                << "n=" << n << " m=" << m;
+        }
+}
+
+TEST(RngCounter, SkipIsConstantTime)
+{
+    // A skip of 2^40 draws finishes at once and lands exactly where
+    // the pure function says: no draw is walked.
+    constexpr std::uint64_t kFar = 1ULL << 40;
+    const std::uint64_t key = splitmix64(kSeed);
+    Rng rng(kSeed);
+    rng.skipGaussians(kFar);
+    const auto got = fillGaussians(rng, 37, 0.25, 1.5);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i],
+                  0.25 + 1.5 * simd::draw::gaussian(key, kFar + i))
+            << "i=" << i;
+    rng.skip(kFar + 1);
+    EXPECT_EQ(rng.next(), simd::draw::word(key, kFar + 1));
+}
+
+TEST(RngCounter, WordAndGaussianCountersAreIndependent)
+{
+    // Interleaving word draws does not move the gaussian sequence.
+    Rng mixed(kSeed);
+    Rng pure(kSeed);
+    std::vector<double> got;
+    for (int i = 0; i < 50; ++i) {
+        (void)mixed.next();
+        (void)mixed.chance(0.5);
+        got.push_back(mixed.gaussian());
+    }
+    EXPECT_EQ(got, fillGaussians(pure, 50));
+}
+
+TEST(RngCounter, DistinctSeedsAndKindsDiffer)
+{
+    Rng a(kSeed), b(kSeed + 1);
+    int same = 0;
+    for (int i = 0; i < 64; ++i)
+        same += a.next() == b.next();
+    EXPECT_LT(same, 2);
+    // Word 0 and pair 0 of one key are different blocks.
+    const std::uint64_t key = splitmix64(kSeed);
+    EXPECT_NE(simd::draw::word(key, 0),
+              simd::draw::half(
+                  simd::draw::block(key, 0, simd::draw::kPairs), 0));
+}
+
+TEST(RngBuffer, SpansHoldTheNextDraws)
+{
     Rng rng(kSeed);
     RngBuffer buf;
     std::vector<double> got;
     for (const std::size_t n : {std::size_t{5}, std::size_t{8}}) {
         const auto span = buf.gaussian(rng, n, 0.0, 1.0);
+        ASSERT_EQ(span.size(), n);
         got.insert(got.end(), span.begin(), span.end());
     }
-    const auto ref = scalarGaussians(kSeed, 13, 0.0, 1.0);
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i], ref[i]) << "i=" << i;
-}
-
-TEST(RngBuffer, PartialFillTailHandsSpareToNextDraw)
-{
-    // An odd-length fill leaves half a Box-Muller pair cached; the
-    // next draw (buffered or scalar) must consume that spare exactly
-    // like the scalar stream would.
-    for (const std::size_t odd : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{255}}) {
-        Rng rng(kSeed);
-        RngBuffer buf;
-        const auto head = buf.gaussian(rng, odd, 0.0, 1.0);
-        ASSERT_EQ(head.size(), odd);
-        const double next = rng.gaussian();
-        Rng ref(kSeed);
-        for (std::size_t i = 0; i < odd; ++i)
-            (void)ref.gaussian();
-        EXPECT_EQ(next, ref.gaussian()) << "odd=" << odd;
-    }
-}
-
-TEST(RngBuffer, SkipGaussiansAdvancesLikeDrawing)
-{
-    // skipGaussians(n) then a live draw == n discarded draws then a
-    // live draw, for even and odd skip counts (the odd case exercises
-    // the lazily-materialized spare).
-    for (const std::size_t skip : {std::size_t{0}, std::size_t{1},
-                                   std::size_t{2}, std::size_t{9},
-                                   std::size_t{100}}) {
-        Rng fast(kSeed);
-        fast.skipGaussians(skip);
-        Rng slow(kSeed);
-        for (std::size_t i = 0; i < skip; ++i)
-            (void)slow.gaussian();
-        // Compare a few follow-up draws, crossing pair boundaries.
-        for (int i = 0; i < 4; ++i)
-            EXPECT_EQ(fast.gaussian(), slow.gaussian())
-                << "skip=" << skip << " follow-up " << i;
-    }
-}
-
-TEST(RngBuffer, SkipInterleavesWithFills)
-{
-    // skip / fill / skip / fill must track the pure-draw stream.
-    Rng fast(kSeed);
-    RngBuffer buf;
-    std::vector<double> got;
-    fast.skipGaussians(3);
-    for (const auto &v : buf.gaussian(fast, 4, 0.0, 1.0))
-        got.push_back(v);
-    fast.skipGaussians(1);
-    for (const auto &v : buf.gaussian(fast, 5, 0.0, 1.0))
-        got.push_back(v);
-
-    Rng slow(kSeed);
-    std::vector<double> ref;
-    for (int i = 0; i < 3; ++i)
-        (void)slow.gaussian();
-    for (int i = 0; i < 4; ++i)
-        ref.push_back(slow.gaussian());
-    (void)slow.gaussian();
-    for (int i = 0; i < 5; ++i)
-        ref.push_back(slow.gaussian());
-
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i], ref[i]) << "i=" << i;
-}
-
-TEST(RngBuffer, FirstDrawMatchesFullSeeding)
-{
-    // The firstDraw/firstChance shortcut must agree with a fully
-    // seeded Rng for arbitrary seeds, including the all-zero-state
-    // guard corner.
-    for (const std::uint64_t seed :
-         {std::uint64_t{0}, std::uint64_t{1}, kSeed,
-          std::uint64_t{0xffffffffffffffffULL},
-          mixSeed(kSeed, 42)}) {
-        Rng rng(seed);
-        EXPECT_EQ(Rng::firstDraw(seed), rng.next()) << "seed=" << seed;
-        Rng rng2(seed);
-        EXPECT_EQ(Rng::firstChance(seed, 0.3), rng2.chance(0.3))
-            << "seed=" << seed;
-    }
+    const auto coins = buf.chance(rng, 33, 0.3);
+    Rng ref(kSeed);
+    EXPECT_EQ(got, fillGaussians(ref, 13));
+    EXPECT_EQ(std::vector<std::uint8_t>(coins.begin(), coins.end()),
+              fillCoins(ref, 33, 0.3));
 }
 
 TEST(RngBuffer, MixSeedStreamsIndependentOfThreadCount)
@@ -193,8 +227,10 @@ TEST(RngBuffer, MixSeedStreamsIndependentOfThreadCount)
     parallel::setThreads(0); // restore automatic resolution
 
     // And the serial run itself must equal direct scalar draws.
-    for (std::size_t i = 0; i < kTrials; ++i)
-        EXPECT_EQ(serial[i],
-                  scalarGaussians(mixSeed(kSeed, i), kDraws, 0.0, 1.0))
-            << "trial " << i;
+    for (std::size_t i = 0; i < kTrials; ++i) {
+        Rng rng(mixSeed(kSeed, i));
+        for (std::size_t d = 0; d < kDraws; ++d)
+            EXPECT_EQ(serial[i][d], rng.gaussian(0.0, 1.0))
+                << "trial " << i << " draw " << d;
+    }
 }

@@ -4,6 +4,7 @@
  */
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,28 @@ TEST(VariationMap, Deterministic)
         EXPECT_DOUBLE_EQ(a.cellTau(0, 3, c), b.cellTau(0, 3, c));
         EXPECT_DOUBLE_EQ(a.saOffset(1, c), b.saOffset(1, c));
         EXPECT_EQ(a.startupBit(2, 5, c), b.startupBit(2, 5, c));
+    }
+}
+
+TEST(VariationMap, MaterializeRowMatchesAccessors)
+{
+    // The row-wide fills and the per-cell accessors read the same
+    // draws; an odd width covers the fills' scalar tails.
+    VariationMap v(profileB(), 11);
+    constexpr std::size_t kCols = 1001;
+    std::vector<std::uint8_t> startup(kCols), vrt(kCols);
+    std::vector<double> alpha(kCols), tau(kCols), coupling(kCols),
+        frac_off(kCols);
+    v.materializeRow(1, 6, kCols, startup.data(), alpha.data(),
+                     tau.data(), coupling.data(), frac_off.data(),
+                     vrt.data());
+    for (ColAddr c = 0; c < kCols; ++c) {
+        EXPECT_EQ(startup[c], v.startupBit(1, 6, c) ? 1 : 0) << c;
+        EXPECT_EQ(alpha[c], v.cellAlpha(1, 6, c)) << c;
+        EXPECT_EQ(tau[c], v.cellTau(1, 6, c)) << c;
+        EXPECT_EQ(coupling[c], v.cellCoupling(1, 6, c)) << c;
+        EXPECT_EQ(frac_off[c], v.cellFracOffset(1, 6, c)) << c;
+        EXPECT_EQ(vrt[c], v.cellIsVrt(1, 6, c) ? 1 : 0) << c;
     }
 }
 
