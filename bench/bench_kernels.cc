@@ -20,6 +20,8 @@
 #include "common/rng_buffer.hh"
 #include "common/sha256.hh"
 #include "common/simd/aligned.hh"
+#include "common/simd/ops.hh"
+#include "common/simd/ops_draw.hh"
 #include "common/simd/simd.hh"
 #include "sim/kernels.hh"
 #include "sim/variation.hh"
@@ -110,15 +112,71 @@ BM_equilibrium(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+/** Sense-noise reach of the bounded-sense benches (sigma = 1 mV). */
+constexpr double kReach = 0.001 * simd::draw::kGaussianMax;
+
+/**
+ * A row whose deltas put @p pct percent of the columns within the
+ * noise reach of their offsets (2%: a QUAC-TRNG sample; 30%: a PUF
+ * read), the rest clear by up to 0.1 V.
+ */
 void
-BM_senseDecide(benchmark::State &state)
+marginalRow(RowFixture &f, int pct)
+{
+    Rng rng(0x3a26ULL + pct);
+    for (std::size_t i = 0; i < f.eq.size(); ++i) {
+        const double s = f.sa[i];
+        const double side = rng.chance(0.5) ? 1.0 : -1.0;
+        f.eq[i] = kHalf + s +
+                  (rng.uniform() * 100.0 < pct
+                       ? kReach * rng.uniform(-1.0, 1.0)
+                       : side * (kReach + rng.uniform(1e-6, 0.1)));
+    }
+}
+
+template <int Pct>
+void
+BM_senseBounded(benchmark::State &state)
 {
     RowFixture f(state.range(0));
+    marginalRow(f, Pct);
+    std::vector<std::uint32_t> marg(f.dec.size());
     for (auto _ : state) {
-        kernels::senseDecide(f.dec.data(), f.eq.data(), f.sa.data(),
-                             f.noise.data(), kHalf, f.dec.size());
+        benchmark::DoNotOptimize(kernels::senseBounded(
+            f.dec.data(), marg.data(), f.eq.data(), f.sa.data(), kHalf,
+            kReach, f.dec.size()));
         benchmark::DoNotOptimize(f.dec.data());
     }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+/**
+ * The draws a bounded sense of such a row evaluates: the distinct
+ * Box-Muller pairs of its marginal columns. Items are row columns, so
+ * the rate compares with BM_rngFillGaussian's at the same width.
+ */
+template <int Pct>
+void
+BM_rngGaussianPairs(benchmark::State &state)
+{
+    RowFixture f(state.range(0));
+    marginalRow(f, Pct);
+    std::vector<std::uint32_t> marg(f.dec.size());
+    const std::size_t m =
+        kernels::senseBounded(f.dec.data(), marg.data(), f.eq.data(),
+                              f.sa.data(), kHalf, kReach, f.dec.size());
+    std::vector<std::uint64_t> pairs;
+    for (std::size_t k = 0; k < m; ++k)
+        if (pairs.empty() || pairs.back() != marg[k] >> 1)
+            pairs.push_back(marg[k] >> 1);
+    const simd::RawOps &ops = simd::rawOps();
+    std::vector<double> c(pairs.size()), s(pairs.size());
+    for (auto _ : state) {
+        ops.gaussianPairs(c.data(), s.data(), pairs.data(), pairs.size(),
+                          0x5eedULL, 0.0, 0.001);
+        benchmark::DoNotOptimize(c.data());
+    }
+    state.counters["pairs"] = static_cast<double>(pairs.size());
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
@@ -258,7 +316,8 @@ BM_materializeRow(benchmark::State &state)
 BENCHMARK(BM_decayMultiply)->Apply(rowArgs);
 BENCHMARK(BM_chargeAccumulate)->Apply(rowArgs);
 BENCHMARK(BM_equilibrium)->Apply(rowArgs);
-BENCHMARK(BM_senseDecide)->Apply(rowArgs);
+BENCHMARK_TEMPLATE(BM_senseBounded, 2)->Apply(rowArgs);
+BENCHMARK_TEMPLATE(BM_senseBounded, 30)->Apply(rowArgs);
 BENCHMARK(BM_driveRails)->Apply(rowArgs);
 BENCHMARK(BM_settleToward)->Apply(rowArgs);
 BENCHMARK(BM_fracSettle)->Apply(rowArgs);
@@ -266,6 +325,8 @@ BENCHMARK(BM_restoreTruncate)->Apply(rowArgs);
 BENCHMARK(BM_fillFromBits)->Apply(rowArgs);
 BENCHMARK(BM_packDecisions)->Apply(rowArgs);
 BENCHMARK(BM_rngFillGaussian)->Apply(rowArgs);
+BENCHMARK_TEMPLATE(BM_rngGaussianPairs, 2)->Apply(rowArgs);
+BENCHMARK_TEMPLATE(BM_rngGaussianPairs, 30)->Apply(rowArgs);
 BENCHMARK(BM_rngSkipGaussians)->Apply(rowArgs);
 BENCHMARK(BM_rngFillChance)->Apply(rowArgs);
 BENCHMARK(BM_materializeRow)->Apply(rowArgs);

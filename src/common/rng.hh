@@ -108,6 +108,16 @@ class Rng
     /** Advance past @p n gaussian draws. */
     void skipGaussians(std::size_t n) { gaussians_ += n; }
 
+    /**
+     * The stream's Philox key: gaussian j is
+     * simd::draw::gaussian(key(), j), so a caller can evaluate draws
+     * at chosen indices (simd::RawOps::gaussianPairs).
+     */
+    std::uint64_t key() const { return key_; }
+
+    /** Index of the next gaussian draw. */
+    std::uint64_t gaussianIndex() const { return gaussians_; }
+
   private:
     std::uint64_t key_;
     std::uint64_t words_ = 0;     //!< index of the next raw word

@@ -8,7 +8,8 @@ namespace fracdram::simd
 namespace
 {
 
-const RawOps kScalarOps = {draw::gaussianFill, draw::chanceFill};
+const RawOps kScalarOps = {draw::gaussianFill, draw::gaussianPairs,
+                           draw::chanceFill};
 
 } // namespace
 

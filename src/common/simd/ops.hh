@@ -6,7 +6,10 @@
  * ops_draw.hh), so a row-wide fill is an element-wise map over
  * consecutive indices: generate the Philox blocks and map them to
  * Bernoulli coins or Box-Muller gaussians in one pass. Rng::fillChance
- * and Rng::fillGaussian run these kernels.
+ * and Rng::fillGaussian run these kernels; gaussianPairs evaluates the
+ * same gaussians at an arbitrary list of pair indices, for callers
+ * that need only a few draws of a row (DESIGN.md 5c, bounded-noise
+ * sensing).
  *
  * Bit-exactness: every tier evaluates the per-element expressions of
  * ops_draw.hh with the same roundings, so all tiers write identical
@@ -32,6 +35,15 @@ struct RawOps
     void (*gaussianFill)(double *dst, std::size_t n, std::uint64_t key,
                          std::uint64_t index, double mean,
                          double sigma);
+    /**
+     * cos_out[k], sin_out[k] = mean + sigma * draw::gaussian(key, j)
+     * for j = 2 pairs[k] and 2 pairs[k] + 1: the fill's values at an
+     * index list.
+     */
+    void (*gaussianPairs)(double *cos_out, double *sin_out,
+                          const std::uint64_t *pairs, std::size_t n,
+                          std::uint64_t key, double mean,
+                          double sigma);
     /** dst[i] = draw::toUniform(draw::word(key, index + i)) < p. */
     void (*chanceFill)(std::uint8_t *dst, std::size_t n,
                        std::uint64_t key, std::uint64_t index,

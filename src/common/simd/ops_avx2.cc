@@ -10,8 +10,10 @@
  * ops_draw.hh's expressions step for step. u64 -> double uses the
  * 2^52 magic-number split (exact below 2^53), and the quadrant fix-up
  * of sincos is a blend plus a sign-bit xor, so every lane is
- * bit-identical to the scalar tier. Heads and tails that do not fill
- * a whole group of four blocks delegate to the scalar functions.
+ * bit-identical to the scalar tier. The fills count the four block
+ * indices up from a start; gaussianPairs loads them from its index
+ * list. Heads and tails that do not fill a whole group of four blocks
+ * delegate to the scalar functions.
  */
 
 #include <immintrin.h>
@@ -48,21 +50,19 @@ struct RoundKeys
     }
 };
 
-/** The two 64-bit words of blocks first..first+3 of one kind. */
+/** The two 64-bit words of four blocks of one kind. */
 struct Words4
 {
     __m256i w0, w1;
 };
 
+/** Blocks idx[0..3] of one kind (one block index per lane). */
 inline Words4
-philox4(const RoundKeys &keys, std::uint64_t first, std::uint32_t kind)
+philox4(const RoundKeys &keys, __m256i idx, std::uint32_t kind)
 {
     const __m256i lo32 = _mm256_set1_epi64x(0xffffffffLL);
     const __m256i m0 = _mm256_set1_epi64x(draw::kPhiloxM0);
     const __m256i m1 = _mm256_set1_epi64x(draw::kPhiloxM1);
-    const __m256i idx = _mm256_add_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(first)),
-        _mm256_set_epi64x(3, 2, 1, 0));
     __m256i c0 = _mm256_and_si256(idx, lo32);
     __m256i c1 = _mm256_srli_epi64(idx, 32);
     __m256i c2 = _mm256_set1_epi64x(kind);
@@ -81,6 +81,17 @@ philox4(const RoundKeys &keys, std::uint64_t first, std::uint32_t kind)
     }
     return {_mm256_or_si256(c0, _mm256_slli_epi64(c1, 32)),
             _mm256_or_si256(c2, _mm256_slli_epi64(c3, 32))};
+}
+
+/** Blocks first..first+3 of one kind. */
+inline Words4
+philox4(const RoundKeys &keys, std::uint64_t first, std::uint32_t kind)
+{
+    return philox4(keys,
+                   _mm256_add_epi64(
+                       _mm256_set1_epi64x(static_cast<long long>(first)),
+                       _mm256_set_epi64x(3, 2, 1, 0)),
+                   kind);
 }
 
 /** double(v) for v <= 2^53, exactly as the scalar static_cast. */
@@ -221,6 +232,23 @@ sincosTurn(__m256d u, __m256d &cos_out, __m256d &sin_out)
         _mm256_castsi256_pd(_mm256_and_si256(sin_neg, sign)));
 }
 
+/**
+ * mean + sigma * both halves of four Box-Muller pair blocks:
+ * draw::gaussianPairs lane for lane.
+ */
+inline void
+boxMuller(const Words4 &w, __m256d mv, __m256d sv, __m256d &yc,
+          __m256d &ys)
+{
+    const __m256d r =
+        _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0),
+                                     logPositive(toOpenUniform(w.w0))));
+    __m256d c, s;
+    sincosTurn(toUniform(w.w1), c, s);
+    yc = _mm256_add_pd(mv, _mm256_mul_pd(sv, _mm256_mul_pd(r, c)));
+    ys = _mm256_add_pd(mv, _mm256_mul_pd(sv, _mm256_mul_pd(r, s)));
+}
+
 void
 gaussianFillAvx2(double *dst, std::size_t n, std::uint64_t key,
                  std::uint64_t index, double mean, double sigma)
@@ -235,18 +263,10 @@ gaussianFillAvx2(double *dst, std::size_t n, std::uint64_t key,
         const __m256d mv = _mm256_set1_pd(mean);
         const __m256d sv = _mm256_set1_pd(sigma);
         for (; i + 8 <= n; i += 8) {
-            const Words4 w =
-                philox4(keys, (index + i) >> 1, draw::kPairs);
-            const __m256d r = _mm256_sqrt_pd(
-                _mm256_mul_pd(_mm256_set1_pd(-2.0),
-                              logPositive(toOpenUniform(w.w0))));
-            __m256d c, s;
-            sincosTurn(toUniform(w.w1), c, s);
+            __m256d yc, ys;
+            boxMuller(philox4(keys, (index + i) >> 1, draw::kPairs), mv,
+                      sv, yc, ys);
             // Pair k's cosine half lands at 2k, its sine half at 2k+1.
-            const __m256d yc =
-                _mm256_add_pd(mv, _mm256_mul_pd(sv, _mm256_mul_pd(r, c)));
-            const __m256d ys =
-                _mm256_add_pd(mv, _mm256_mul_pd(sv, _mm256_mul_pd(r, s)));
             const __m256d lo = _mm256_unpacklo_pd(yc, ys);
             const __m256d hi = _mm256_unpackhi_pd(yc, ys);
             _mm256_storeu_pd(dst + i, _mm256_permute2f128_pd(lo, hi, 0x20));
@@ -255,6 +275,29 @@ gaussianFillAvx2(double *dst, std::size_t n, std::uint64_t key,
         }
     }
     draw::gaussianFill(dst + i, n - i, key, index + i, mean, sigma);
+}
+
+void
+gaussianPairsAvx2(double *cos_out, double *sin_out,
+                  const std::uint64_t *pairs, std::size_t n,
+                  std::uint64_t key, double mean, double sigma)
+{
+    std::size_t k = 0;
+    if (n >= 4) {
+        const RoundKeys keys(key);
+        const __m256d mv = _mm256_set1_pd(mean);
+        const __m256d sv = _mm256_set1_pd(sigma);
+        for (; k + 4 <= n; k += 4) {
+            const __m256i idx = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(pairs + k));
+            __m256d yc, ys;
+            boxMuller(philox4(keys, idx, draw::kPairs), mv, sv, yc, ys);
+            _mm256_storeu_pd(cos_out + k, yc);
+            _mm256_storeu_pd(sin_out + k, ys);
+        }
+    }
+    draw::gaussianPairs(cos_out + k, sin_out + k, pairs + k, n - k, key,
+                        mean, sigma);
 }
 
 void
@@ -286,7 +329,8 @@ chanceFillAvx2(std::uint8_t *dst, std::size_t n, std::uint64_t key,
     draw::chanceFill(dst + i, n - i, key, index + i, p);
 }
 
-const RawOps kAvx2Ops = {gaussianFillAvx2, chanceFillAvx2};
+const RawOps kAvx2Ops = {gaussianFillAvx2, gaussianPairsAvx2,
+                         chanceFillAvx2};
 
 } // namespace
 

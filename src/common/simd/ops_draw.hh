@@ -211,6 +211,18 @@ radius(const Block &b)
     return std::sqrt(-2.0 * logPositive(toOpenUniform(half(b, 0))));
 }
 
+/**
+ * Bound on |gaussian(key, j)| for every key and j. The radius is
+ * largest at the smallest input, toOpenUniform(0) = 2^-53, where it
+ * is sqrt(106 ln 2) = 8.571674..; this constant rounds that up by
+ * more than 1e-5, far beyond logPositive's < 1e-13 error and sqrt's
+ * rounding. turn's cos and sin never exceed 1 in magnitude (the
+ * polynomials stay inside [-1, 1] on |x| <= pi/4, and the quadrant
+ * fix-up only swaps and negates them), so r * cos and r * sin round to
+ * at most r.
+ */
+constexpr double kGaussianMax = 8.5717;
+
 /** Standard normal @p j of stream @p key. */
 inline double
 gaussian(std::uint64_t key, std::uint64_t j)
@@ -242,6 +254,26 @@ gaussianFill(double *dst, std::size_t n, std::uint64_t key,
     }
     if (i < n)
         dst[i] = mean + sigma * gaussian(key, index + i);
+}
+
+/**
+ * Both halves of Box-Muller pairs pairs[k] of stream @p key:
+ * cos_out[k] = mean + sigma * gaussian(key, 2 pairs[k]) and
+ * sin_out[k] = mean + sigma * gaussian(key, 2 pairs[k] + 1). The
+ * scalar tier of RawOps::gaussianPairs and the vector tiers' tail.
+ */
+inline void
+gaussianPairs(double *cos_out, double *sin_out,
+              const std::uint64_t *pairs, std::size_t n,
+              std::uint64_t key, double mean, double sigma)
+{
+    for (std::size_t k = 0; k < n; ++k) {
+        const Block b = block(key, pairs[k], kPairs);
+        const double r = radius(b);
+        const Turn a = turn(toUniform(half(b, 1)));
+        cos_out[k] = mean + sigma * (r * a.cos);
+        sin_out[k] = mean + sigma * (r * a.sin);
+    }
 }
 
 /** dst[i] = toUniform(word(key, index + i)) < p: RawOps::chanceFill. */

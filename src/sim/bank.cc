@@ -27,6 +27,7 @@ constexpr Cycles checkerTRc = 20;
 struct BankCounters
 {
     telemetry::CounterId fullActivate, fullActivateCells, senseFlips;
+    telemetry::CounterId senseNoiseDraws;
     telemetry::CounterId fracSettle, fracSettleCells, fracCells;
     telemetry::CounterId halfmClose, halfmCells, halfmEngaged;
     telemetry::CounterId decay, decayCells;
@@ -42,6 +43,7 @@ struct BankCounters
         fullActivateCells =
             m.counter("sim.kernel.full_activate.cells");
         senseFlips = m.counter("sim.kernel.sense.flips");
+        senseNoiseDraws = m.counter("sim.kernel.sense.noise_draws");
         fracSettle = m.counter("sim.kernel.frac_settle");
         fracSettleCells = m.counter("sim.kernel.frac_settle.cells");
         fracCells = m.counter("sim.kernel.frac_settle.fractional");
@@ -519,41 +521,13 @@ Bank::fullActivate(bool discard_values)
         return;
     }
 
-    const Volt vdd = ctx_.env.vdd;
-    const Volt half = vdd / 2.0;
-    const double cb = ctx_.params.bitlineCapRatio;
-    const double noise_sigma =
-        ctx_.profile.saNoiseSigma * ctx_.env.noiseScale();
-
     gatherOpenRows();
-    ensureSaOffsets();
-    const auto noise =
-        rngBuf_.gaussian(ctx_.trialRng, cols, 0.0, noise_sigma);
-
-    num_.assign(cols, cb * half);
-    den_.assign(cols, cb);
-    // Row-outer accumulation keeps each column's additions in the
-    // same order as the scalar row-inner loop.
-    for (const auto &s : open_)
-        kernels::chargeAccumulate(num_.data(), den_.data(),
-                                  s.store->volts.data(),
-                                  s.store->coupling.data(), s.weight,
-                                  cols);
-    eq_.resize(cols);
-    kernels::equilibrium(eq_.data(), num_.data(), den_.data(), cols);
-    dec_.resize(cols);
-    kernels::senseDecide(dec_.data(), eq_.data(), saOffsets_.data(),
-                         noise.data(), half, cols);
-    const float vddf = static_cast<float>(vdd);
-    for (const auto &s : open_)
-        kernels::driveRails(s.store->volts.data(), dec_.data(), vddf,
-                            cols);
+    senseAndRestore(open_, cols);
     kernels::packDecisions(rowBuffer_.mutableWords(), dec_.data(),
                            rowIsAnti(refRow_), cols);
-    for (const auto &s : open_)
-        s.store->lastTouch = ctx_.now;
     rowBufferValid_ = true;
     if (telemetry::enabled()) {
+        const Volt half = ctx_.env.vdd / 2.0;
         const auto &bc = bankCounters();
         telemetry::count(bc.fullActivate);
         telemetry::count(bc.fullActivateCells,
@@ -561,11 +535,45 @@ Bank::fullActivate(bool discard_values)
                              open_.size());
         // Columns where SA offset + noise flipped the decision away
         // from the ideal comparator's sign(eq - vdd/2).
-        std::uint64_t flips = 0;
-        for (ColAddr c = 0; c < cols; ++c)
-            flips += (dec_[c] != 0) != (eq_[c] > half);
-        telemetry::count(bc.senseFlips, flips);
+        telemetry::count(bc.senseFlips,
+                         kernels::countFlips(dec_.data(), eq_.data(),
+                                             half, cols));
     }
+}
+
+void
+Bank::senseAndRestore(std::span<const OpenState> rows, std::size_t cols)
+{
+    const Volt vdd = ctx_.env.vdd;
+    const Volt half = vdd / 2.0;
+    const double cb = ctx_.params.bitlineCapRatio;
+    const double noise_sigma =
+        ctx_.profile.saNoiseSigma * ctx_.env.noiseScale();
+    ensureSaOffsets();
+
+    num_.assign(cols, cb * half);
+    den_.assign(cols, cb);
+    // Row-outer accumulation keeps each column's additions in the
+    // same order as the scalar row-inner loop.
+    for (const auto &s : rows)
+        kernels::chargeAccumulate(num_.data(), den_.data(),
+                                  s.store->volts.data(),
+                                  s.store->coupling.data(), s.weight,
+                                  cols);
+    eq_.resize(cols);
+    kernels::equilibrium(eq_.data(), num_.data(), den_.data(), cols);
+    dec_.resize(cols);
+    const std::size_t draws =
+        noisySense(dec_.data(), eq_.data(), saOffsets_.data(), half,
+                   noise_sigma, ctx_.trialRng, cols);
+    const float vddf = static_cast<float>(vdd);
+    for (const auto &s : rows) {
+        kernels::driveRails(s.store->volts.data(), dec_.data(), vddf,
+                            cols);
+        s.store->lastTouch = ctx_.now;
+    }
+    if (telemetry::enabled())
+        telemetry::count(bankCounters().senseNoiseDraws, draws);
 }
 
 void
@@ -729,37 +737,13 @@ Bank::refreshAllRows()
     // Internally activate-restore each allocated row, exactly like a
     // normal single-row activation (destroys fractional values,
     // Sec. III-C).
-    const Volt vdd = ctx_.env.vdd;
-    const float vddf = static_cast<float>(vdd);
-    const Volt half = vdd / 2.0;
-    const double cb = ctx_.params.bitlineCapRatio;
-    const double noise_sigma =
-        ctx_.profile.saNoiseSigma * ctx_.env.noiseScale();
-    ensureSaOffsets();
     for (auto &[row, store] : rows_) {
         applyLeakage(store);
         const double jitter = ctx_.trialRng.lognormal(
             0.0, ctx_.profile.trialJitterSigma);
-        const double role_w =
-            ctx_.profile.roleWeight(RowRole::FirstAct) * jitter;
-        const std::size_t cols = store.volts.size();
-        const auto noise =
-            rngBuf_.gaussian(ctx_.trialRng, cols, 0.0, noise_sigma);
-        num_.assign(cols, cb * half);
-        den_.assign(cols, cb);
-        kernels::chargeAccumulate(num_.data(), den_.data(),
-                                  store.volts.data(),
-                                  store.coupling.data(), role_w, cols);
-        eq_.resize(cols);
-        kernels::equilibrium(eq_.data(), num_.data(), den_.data(),
-                             cols);
-        dec_.resize(cols);
-        kernels::senseDecide(dec_.data(), eq_.data(),
-                             saOffsets_.data(), noise.data(), half,
-                             cols);
-        kernels::driveRails(store.volts.data(), dec_.data(), vddf,
-                            cols);
-        store.lastTouch = ctx_.now;
+        const OpenState one{
+            &store, ctx_.profile.roleWeight(RowRole::FirstAct) * jitter};
+        senseAndRestore({&one, 1}, store.volts.size());
     }
     if (telemetry::enabled())
         telemetry::count(bankCounters().refreshRows, rows_.size());

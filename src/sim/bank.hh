@@ -23,8 +23,9 @@
  *
  * The analog hot paths run on the columnar kernels (sim/kernels):
  * noise is drawn row-wide through the module's RngBuffer (DESIGN.md,
- * "Columnar kernels"), leakage decay factors are cached per row and
- * exp factor, and an activation that is resolved by a WRITE - whose
+ * "Columnar kernels"), sense noise only for the columns it can flip
+ * (sim/sense.hh), leakage decay factors are cached per row and exp
+ * factor, and an activation that is resolved by a WRITE - whose
  * sensed values nothing can observe before the write overwrites them
  * - advances the RNG counters without paying for the physics.
  */
@@ -33,6 +34,7 @@
 #define FRACDRAM_SIM_BANK_HH
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -44,6 +46,7 @@
 #include "sim/environment.hh"
 #include "sim/params.hh"
 #include "sim/row_decoder.hh"
+#include "sim/sense.hh"
 #include "sim/variation.hh"
 #include "sim/vendor.hh"
 
@@ -190,6 +193,15 @@ class Bank
      * live path would but skip the (unobservable) physics.
      */
     void fullActivate(bool discard_values = false);
+
+    /**
+     * The sensing chain shared by fullActivate and refreshAllRows:
+     * charge-share @p rows onto the bit-lines (eq_), sense every
+     * column with its noise draw (dec_), drive the rows' cells to the
+     * decided rails and mark them touched.
+     */
+    void senseAndRestore(std::span<const OpenState> rows,
+                         std::size_t cols);
 
     /** Commit an interrupted close: partial settle, no full sense. */
     void interruptedClose();

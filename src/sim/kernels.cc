@@ -66,11 +66,19 @@ equilibrium(double *eq, const double *num, const double *den,
     activeKernelTable().equilibrium(eq, num, den, n);
 }
 
-void
-senseDecide(std::uint8_t *dec, const double *eq, const float *sa,
-            const double *noise, double half, std::size_t n)
+std::size_t
+senseBounded(std::uint8_t *dec, std::uint32_t *marg, const double *eq,
+             const float *sa, double half, double reach, std::size_t n)
 {
-    activeKernelTable().senseDecide(dec, eq, sa, noise, half, n);
+    return activeKernelTable().senseBounded(dec, marg, eq, sa, half,
+                                            reach, n);
+}
+
+std::size_t
+countFlips(const std::uint8_t *dec, const double *eq, double half,
+           std::size_t n)
+{
+    return activeKernelTable().countFlips(dec, eq, half, n);
 }
 
 void

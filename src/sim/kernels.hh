@@ -47,10 +47,30 @@ void equilibrium(double *eq, const double *num, const double *den,
                  std::size_t n);
 
 /**
- * Sense-amp decision: dec[i] = (eq[i] - half) > sa[i] + noise[i].
+ * Sense-amp decision without the noise: the part of
+ *   dec[i] = (eq[i] - half) > sa[i] + noise[i]
+ * that holds for every noise[i] in [-reach, reach]. With
+ * d = eq[i] - half and s = sa[i]:
+ *   d >  s + reach: dec[i] = 1;
+ *   d <= s - reach: dec[i] = 0;
+ *   otherwise (marginal): dec[i] = 0 and i is appended to marg.
+ * Rounding is monotone, so s + noise[i] rounds into
+ * [s - reach, s + reach] as well, and every clear column decides
+ * exactly as the comparison with its noise would. @p marg must hold
+ * n entries.
+ * @return the number of marginal columns (listed in ascending order)
  */
-void senseDecide(std::uint8_t *dec, const double *eq, const float *sa,
-                 const double *noise, double half, std::size_t n);
+std::size_t senseBounded(std::uint8_t *dec, std::uint32_t *marg,
+                         const double *eq, const float *sa,
+                         double half, double reach, std::size_t n);
+
+/**
+ * Sense flips (telemetry): the number of i where dec[i] != 0 differs
+ * from eq[i] > half, i.e. where offset and noise overturned the ideal
+ * comparator.
+ */
+std::size_t countFlips(const std::uint8_t *dec, const double *eq,
+                       double half, std::size_t n);
 
 /** Full restore: volts[i] = dec[i] ? vdd : 0. */
 void driveRails(float *volts, const std::uint8_t *dec, float vdd,

@@ -75,39 +75,6 @@ equilibriumAvx2(double *eq, const double *num, const double *den,
     scalar::equilibrium(eq + i, num + i, den + i, n - i);
 }
 
-void
-senseDecideAvx2(std::uint8_t *dec, const double *eq, const float *sa,
-                const double *noise, double half, std::size_t n)
-{
-    const __m256d halfv = _mm256_set1_pd(half);
-    std::size_t i = 0;
-    // 16 decisions per iteration: four 4-lane compares merged into
-    // one 16-bit mask, expanded to 0/1 bytes with pdep.
-    for (; i + 16 <= n; i += 16) {
-        unsigned mask = 0;
-        for (std::size_t g = 0; g < 4; ++g) {
-            const std::size_t j = i + 4 * g;
-            const __m256d lhs =
-                _mm256_sub_pd(_mm256_loadu_pd(eq + j), halfv);
-            const __m256d rhs =
-                _mm256_add_pd(_mm256_cvtps_pd(_mm_loadu_ps(sa + j)),
-                              _mm256_loadu_pd(noise + j));
-            const __m256d gt =
-                _mm256_cmp_pd(lhs, rhs, _CMP_GT_OQ);
-            mask |= static_cast<unsigned>(_mm256_movemask_pd(gt))
-                    << (4 * g);
-        }
-        const std::uint64_t lo =
-            _pdep_u64(mask & 0xff, 0x0101010101010101ULL);
-        const std::uint64_t hi =
-            _pdep_u64(mask >> 8, 0x0101010101010101ULL);
-        std::memcpy(dec + i, &lo, 8);
-        std::memcpy(dec + i + 8, &hi, 8);
-    }
-    scalar::senseDecide(dec + i, eq + i, sa + i, noise + i, half,
-                        n - i);
-}
-
 /** 8 bytes of 0/nonzero decisions -> 8 float lanes of vdd/0. */
 inline __m256
 railsFromBytes(const std::uint8_t *dec, __m256 vddv)
@@ -258,15 +225,89 @@ packDecisionsAvx2(std::uint64_t *words, const std::uint8_t *dec,
 
 } // namespace
 
+std::size_t
+senseBoundedAvx2(std::uint8_t *dec, std::uint32_t *marg, const double *eq,
+                 const float *sa, double half, double reach, std::size_t n)
+{
+    const __m256d halfv = _mm256_set1_pd(half);
+    const __m256d reachv = _mm256_set1_pd(reach);
+    std::size_t i = 0;
+    std::size_t m = 0;
+    // 16 columns per iteration: four 4-lane compare pairs merged into
+    // 16-bit "up" and "clear" masks. Up expands to 0/1 bytes with
+    // pdep; the marginal (not clear) columns are listed bit by bit.
+    for (; i + 16 <= n; i += 16) {
+        unsigned up = 0;
+        unsigned clear = 0;
+        for (std::size_t g = 0; g < 4; ++g) {
+            const std::size_t j = i + 4 * g;
+            const __m256d d =
+                _mm256_sub_pd(_mm256_loadu_pd(eq + j), halfv);
+            const __m256d s = _mm256_cvtps_pd(_mm_loadu_ps(sa + j));
+            const __m256d hi = _mm256_cmp_pd(
+                d, _mm256_add_pd(s, reachv), _CMP_GT_OQ);
+            const __m256d lo = _mm256_cmp_pd(
+                d, _mm256_sub_pd(s, reachv), _CMP_LE_OQ);
+            up |= static_cast<unsigned>(_mm256_movemask_pd(hi))
+                  << (4 * g);
+            clear |= static_cast<unsigned>(
+                         _mm256_movemask_pd(_mm256_or_pd(hi, lo)))
+                     << (4 * g);
+        }
+        const std::uint64_t blo =
+            _pdep_u64(up & 0xff, 0x0101010101010101ULL);
+        const std::uint64_t bhi =
+            _pdep_u64(up >> 8, 0x0101010101010101ULL);
+        std::memcpy(dec + i, &blo, 8);
+        std::memcpy(dec + i + 8, &bhi, 8);
+        for (unsigned mask = ~clear & 0xffffu; mask != 0;
+             mask &= mask - 1) {
+            marg[m++] = static_cast<std::uint32_t>(
+                i + static_cast<unsigned>(__builtin_ctz(mask)));
+        }
+    }
+    const std::size_t tail = scalar::senseBounded(
+        dec + i, marg + m, eq + i, sa + i, half, reach, n - i);
+    for (std::size_t k = m; k < m + tail; ++k)
+        marg[k] += static_cast<std::uint32_t>(i);
+    return m + tail;
+}
+
+std::size_t
+countFlipsAvx2(const std::uint8_t *dec, const double *eq, double half,
+               std::size_t n)
+{
+    const __m256d halfv = _mm256_set1_pd(half);
+    const __m128i zero = _mm_setzero_si128();
+    std::size_t i = 0;
+    std::size_t flips = 0;
+    for (; i + 16 <= n; i += 16) {
+        unsigned above = 0;
+        for (std::size_t g = 0; g < 4; ++g)
+            above |= static_cast<unsigned>(_mm256_movemask_pd(
+                         _mm256_cmp_pd(_mm256_loadu_pd(eq + i + 4 * g),
+                                       halfv, _CMP_GT_OQ)))
+                     << (4 * g);
+        const __m128i bytes = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(dec + i));
+        const unsigned zeros = static_cast<unsigned>(
+            _mm_movemask_epi8(_mm_cmpeq_epi8(bytes, zero)));
+        flips += static_cast<std::size_t>(
+            __builtin_popcount((above ^ ~zeros) & 0xffffu));
+    }
+    return flips + scalar::countFlips(dec + i, eq + i, half, n - i);
+}
+
 const KernelTable &
 avx2KernelTable()
 {
     static const KernelTable table = {
-        decayMultiplyAvx2,   chargeAccumulateAvx2,
-        equilibriumAvx2,     senseDecideAvx2,
-        driveRailsAvx2,      settleTowardAvx2,
-        fracSettleAvx2,      restoreTruncateAvx2,
-        fillFromBitsAvx2,    packDecisionsAvx2,
+        decayMultiplyAvx2,     chargeAccumulateAvx2,
+        equilibriumAvx2,       senseBoundedAvx2,
+        countFlipsAvx2,        driveRailsAvx2,
+        settleTowardAvx2,      fracSettleAvx2,
+        restoreTruncateAvx2,   fillFromBitsAvx2,
+        packDecisionsAvx2,
     };
     return table;
 }

@@ -8,7 +8,9 @@
  *
  * Same bit-exactness contract as kernels_avx2.cc: per-lane operations
  * in the scalar expression order, no FMA, tails delegated to the
- * scalar tier.
+ * scalar tier. senseBounded and countFlips are the AVX2 entries:
+ * their cost is the mask bookkeeping (the marginal-column listing,
+ * the popcount), which wider compares do not shorten.
  */
 
 #include <immintrin.h>
@@ -68,36 +70,6 @@ equilibriumAvx512(double *eq, const double *num, const double *den,
                          _mm512_div_pd(_mm512_loadu_pd(num + i),
                                        _mm512_loadu_pd(den + i)));
     scalar::equilibrium(eq + i, num + i, den + i, n - i);
-}
-
-void
-senseDecideAvx512(std::uint8_t *dec, const double *eq,
-                  const float *sa, const double *noise, double half,
-                  std::size_t n)
-{
-    const __m512d halfv = _mm512_set1_pd(half);
-    const __m128i ones = _mm_set1_epi8(1);
-    std::size_t i = 0;
-    // 16 decisions per iteration: two 8-lane compare masks widened
-    // straight to 0/1 bytes with a zero-masked move.
-    for (; i + 16 <= n; i += 16) {
-        __mmask16 mask = 0;
-        for (std::size_t g = 0; g < 2; ++g) {
-            const std::size_t j = i + 8 * g;
-            const __m512d lhs =
-                _mm512_sub_pd(_mm512_loadu_pd(eq + j), halfv);
-            const __m512d rhs = _mm512_add_pd(
-                _mm512_cvtps_pd(_mm256_loadu_ps(sa + j)),
-                _mm512_loadu_pd(noise + j));
-            mask |= static_cast<__mmask16>(
-                        _mm512_cmp_pd_mask(lhs, rhs, _CMP_GT_OQ))
-                    << (8 * g);
-        }
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(dec + i),
-                         _mm_maskz_mov_epi8(mask, ones));
-    }
-    scalar::senseDecide(dec + i, eq + i, sa + i, noise + i, half,
-                        n - i);
 }
 
 void
@@ -236,10 +208,11 @@ avx512KernelTable()
 {
     static const KernelTable table = {
         decayMultiplyAvx512,   chargeAccumulateAvx512,
-        equilibriumAvx512,     senseDecideAvx512,
-        driveRailsAvx512,      settleTowardAvx512,
-        fracSettleAvx512,      restoreTruncateAvx512,
-        fillFromBitsAvx512,    packDecisionsAvx512,
+        equilibriumAvx512,     senseBoundedAvx2,
+        countFlipsAvx2,        driveRailsAvx512,
+        settleTowardAvx512,    fracSettleAvx512,
+        restoreTruncateAvx512, fillFromBitsAvx512,
+        packDecisionsAvx512,
     };
     return table;
 }

@@ -35,9 +35,13 @@ struct KernelTable
                              double weight, std::size_t n);
     void (*equilibrium)(double *eq, const double *num,
                         const double *den, std::size_t n);
-    void (*senseDecide)(std::uint8_t *dec, const double *eq,
-                        const float *sa, const double *noise,
-                        double half, std::size_t n);
+    std::size_t (*senseBounded)(std::uint8_t *dec, std::uint32_t *marg,
+                                const double *eq, const float *sa,
+                                double half, double reach,
+                                std::size_t n);
+    std::size_t (*countFlips)(const std::uint8_t *dec,
+                              const double *eq, double half,
+                              std::size_t n);
     void (*driveRails)(float *volts, const std::uint8_t *dec,
                        float vdd, std::size_t n);
     void (*settleToward)(float *volts, const float *alpha,
@@ -63,6 +67,12 @@ const KernelTable &scalarKernelTable();
 #if FRACDRAM_HAVE_AVX2
 /** AVX2 tier (kernels_avx2.cc; present when the build compiled it). */
 const KernelTable &avx2KernelTable();
+/** The AVX2 senseBounded and countFlips, which the AVX-512 table shares. */
+std::size_t senseBoundedAvx2(std::uint8_t *dec, std::uint32_t *marg,
+                             const double *eq, const float *sa,
+                             double half, double reach, std::size_t n);
+std::size_t countFlipsAvx2(const std::uint8_t *dec, const double *eq,
+                           double half, std::size_t n);
 #endif
 #if FRACDRAM_HAVE_AVX512
 /** AVX-512 tier (kernels_avx512.cc). */

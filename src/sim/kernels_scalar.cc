@@ -38,12 +38,31 @@ equilibrium(double *eq, const double *num, const double *den,
         eq[i] = num[i] / den[i];
 }
 
-void
-senseDecide(std::uint8_t *dec, const double *eq, const float *sa,
-            const double *noise, double half, std::size_t n)
+std::size_t
+senseBounded(std::uint8_t *dec, std::uint32_t *marg, const double *eq,
+             const float *sa, double half, double reach, std::size_t n)
 {
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double d = eq[i] - half;
+        const double s = sa[i];
+        const bool up = d > s + reach;
+        dec[i] = up ? 1 : 0;
+        // Branch-free compaction: always write, keep if marginal.
+        marg[m] = static_cast<std::uint32_t>(i);
+        m += !up && !(d <= s - reach);
+    }
+    return m;
+}
+
+std::size_t
+countFlips(const std::uint8_t *dec, const double *eq, double half,
+           std::size_t n)
+{
+    std::size_t flips = 0;
     for (std::size_t i = 0; i < n; ++i)
-        dec[i] = (eq[i] - half) > sa[i] + noise[i] ? 1 : 0;
+        flips += (dec[i] != 0) != (eq[i] > half);
+    return flips;
 }
 
 void
@@ -149,11 +168,12 @@ const KernelTable &
 scalarKernelTable()
 {
     static const KernelTable table = {
-        scalar::decayMultiply,   scalar::chargeAccumulate,
-        scalar::equilibrium,     scalar::senseDecide,
-        scalar::driveRails,      scalar::settleToward,
-        scalar::fracSettle,      scalar::restoreTruncate,
-        scalar::fillFromBits,    scalar::packDecisions,
+        scalar::decayMultiply, scalar::chargeAccumulate,
+        scalar::equilibrium,   scalar::senseBounded,
+        scalar::countFlips,    scalar::driveRails,
+        scalar::settleToward,  scalar::fracSettle,
+        scalar::restoreTruncate, scalar::fillFromBits,
+        scalar::packDecisions,
     };
     return table;
 }

@@ -19,8 +19,11 @@ void chargeAccumulate(double *num, double *den, const float *volts,
                       std::size_t n);
 void equilibrium(double *eq, const double *num, const double *den,
                  std::size_t n);
-void senseDecide(std::uint8_t *dec, const double *eq, const float *sa,
-                 const double *noise, double half, std::size_t n);
+std::size_t senseBounded(std::uint8_t *dec, std::uint32_t *marg,
+                         const double *eq, const float *sa,
+                         double half, double reach, std::size_t n);
+std::size_t countFlips(const std::uint8_t *dec, const double *eq,
+                       double half, std::size_t n);
 void driveRails(float *volts, const std::uint8_t *dec, float vdd,
                 std::size_t n);
 void settleToward(float *volts, const float *alpha, const double *veq,

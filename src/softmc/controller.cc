@@ -1,6 +1,8 @@
 #include "softmc/controller.hh"
 
+#include <algorithm>
 #include <atomic>
+#include <iterator>
 
 #include "common/logging.hh"
 #include "telemetry/metrics.hh"
@@ -43,20 +45,9 @@ commandCounters()
     return c;
 }
 
-const char *
-commandName(CommandKind kind)
-{
-    switch (kind) {
-      case CommandKind::Act: return "ACT";
-      case CommandKind::Pre: return "PRE";
-      case CommandKind::PreAll: return "PREA";
-      case CommandKind::Read: return "READ";
-      case CommandKind::Write: return "WRITE";
-      case CommandKind::Refresh: return "REF";
-      case CommandKind::Nop: return "NOP";
-    }
-    return "?";
-}
+/** Trace arg names of the per-sequence command tally, by CommandKind. */
+constexpr const char *kCommandNames[7] = {"ACT",   "PRE", "PREA", "READ",
+                                          "WRITE", "REF", "NOP"};
 
 /** Distinct trace lane per controller instance. */
 std::atomic<std::uint32_t> nextLane{1};
@@ -106,6 +97,19 @@ MemoryController::MemoryController(sim::DramChip &chip, bool enforce_spec)
 {
 }
 
+const MemoryController::LabelTelemetry &
+MemoryController::labelTelemetry(const std::string &label)
+{
+    for (const auto &lt : labelTelemetry_)
+        if (lt.label == label)
+            return lt;
+    labelTelemetry_.push_back(
+        {label,
+         telemetry::Metrics::instance().counter("softmc.cycles." + label),
+         telemetry::internName(label)});
+    return labelTelemetry_.back();
+}
+
 MemoryController::ExecResult
 MemoryController::execute(const CommandSequence &seq,
                           const std::string &label)
@@ -123,7 +127,7 @@ MemoryController::execute(const CommandSequence &seq,
     }
 
     const bool telem = telemetry::enabled();
-    std::size_t tally[7] = {};
+    std::uint32_t tally[std::size(kCommandNames)] = {};
     if (telem) {
         const auto &tc = commandCounters();
         telemetry::count(tc.sequences);
@@ -131,10 +135,10 @@ MemoryController::execute(const CommandSequence &seq,
         // observing, document exactly how many constraints each one
         // deliberately violates (enforcing mode already fataled).
         if (!enforceSpec_) {
-            const auto violations =
-                spec_.check(seq, chip_.dramParams().numBanks);
-            if (!violations.empty()) {
-                telemetry::count(tc.violations, violations.size());
+            const std::size_t violations = spec_.countViolations(
+                seq, chip_.dramParams().numBanks);
+            if (violations != 0) {
+                telemetry::count(tc.violations, violations);
                 telemetry::traceInstant("timing violation");
             }
         }
@@ -144,11 +148,8 @@ MemoryController::execute(const CommandSequence &seq,
     for (const auto &tc : seq.commands()) {
         const Cycles cycle = clock_ + tc.cycle;
         const auto &cmd = tc.cmd;
-        if (telem) {
+        if (telem)
             ++tally[static_cast<std::size_t>(cmd.kind)];
-            telemetry::traceCommand(commandName(cmd.kind), cycle, 1,
-                                    telemetryLane_);
-        }
         switch (cmd.kind) {
           case CommandKind::Act:
             chip_.act(cycle, cmd.bank, cmd.row);
@@ -191,9 +192,17 @@ MemoryController::execute(const CommandSequence &seq,
         telemetry::observe(tc.seqLen, len);
         // The accountant's labels double as metric names, so the
         // per-operation cycle budget shows up in every run report.
-        telemetry::countNamed("softmc.cycles." + label, len);
-        telemetry::traceCommand(telemetry::internName(label), clock_,
-                                len, telemetryLane_);
+        const LabelTelemetry &lt = labelTelemetry(label);
+        telemetry::count(lt.cycles, len);
+        // One trace event per sequence, carrying its command tally.
+        telemetry::TraceArgs args;
+        static_assert(std::size(kCommandNames) <=
+                      telemetry::TraceArgs::kMax);
+        args.names = kCommandNames;
+        args.count = std::size(kCommandNames);
+        std::copy(std::begin(tally), std::end(tally), args.values);
+        telemetry::traceCommand(lt.traceName, clock_, len,
+                                telemetryLane_, &args);
     }
     clock_ += len + margin;
     chip_.advanceTime(static_cast<Seconds>(len + margin) * memCycleNs *

@@ -18,12 +18,14 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/bitvec.hh"
 #include "common/types.hh"
 #include "sim/chip.hh"
 #include "softmc/command.hh"
 #include "softmc/timing.hh"
+#include "telemetry/metrics.hh"
 
 namespace fracdram::softmc
 {
@@ -149,6 +151,16 @@ class MemoryController
     Cycles nowCycles() const { return clock_; }
 
   private:
+    /** Telemetry handles of one accountant label, looked up once. */
+    struct LabelTelemetry
+    {
+        std::string label;
+        telemetry::CounterId cycles; //!< softmc.cycles.<label>
+        const char *traceName;       //!< interned label
+    };
+
+    const LabelTelemetry &labelTelemetry(const std::string &label);
+
     sim::DramChip &chip_;
     TimingSpec spec_;
     bool enforceSpec_;
@@ -158,6 +170,8 @@ class MemoryController
     /** Telemetry lane on the DRAM-cycle trace timeline; controllers
      *  get distinct lanes so parallel trials don't interleave. */
     std::uint32_t telemetryLane_;
+    /** Per-label handles; a controller sees a handful of labels. */
+    std::vector<LabelTelemetry> labelTelemetry_;
 };
 
 } // namespace fracdram::softmc

@@ -32,22 +32,42 @@ TimingSpec::check(const CommandSequence &seq,
                   std::uint32_t num_banks) const
 {
     std::vector<TimingViolation> out;
+    scan(seq, num_banks, &out);
+    return out;
+}
+
+std::size_t
+TimingSpec::countViolations(const CommandSequence &seq,
+                            std::uint32_t num_banks) const
+{
+    return scan(seq, num_banks, nullptr);
+}
+
+std::size_t
+TimingSpec::scan(const CommandSequence &seq, std::uint32_t num_banks,
+                 std::vector<TimingViolation> *out) const
+{
+    std::size_t count = 0;
     std::vector<BankTrack> banks(num_banks);
     std::optional<Cycles> lastActAnyBank;
     std::optional<Cycles> lastRefresh;
 
-    auto violate = [&out](Cycles cycle, std::string what) {
-        out.push_back({cycle, std::move(what)});
+    // @p describe builds the message, only when there is an @p out.
+    auto violate = [&](Cycles cycle, auto &&describe) {
+        ++count;
+        if (out != nullptr)
+            out->push_back({cycle, std::string(describe())});
     };
 
     auto require_gap = [&](Cycles cycle, std::optional<Cycles> since,
                            Cycles min, const char *what) {
         if (since && cycle < *since + min) {
-            violate(cycle,
-                    strprintf("%s: gap %llu < %llu cycles", what,
-                              static_cast<unsigned long long>(
-                                  cycle - *since),
-                              static_cast<unsigned long long>(min)));
+            violate(cycle, [&] {
+                return strprintf("%s: gap %llu < %llu cycles", what,
+                                 static_cast<unsigned long long>(
+                                     cycle - *since),
+                                 static_cast<unsigned long long>(min));
+            });
         }
     };
 
@@ -63,12 +83,16 @@ TimingSpec::check(const CommandSequence &seq,
         switch (cmd.kind) {
           case CommandKind::Act: {
             if (cmd.bank >= num_banks) {
-                violate(cycle, strprintf("ACT: bad bank %u", cmd.bank));
+                violate(cycle, [&] {
+                    return strprintf("ACT: bad bank %u", cmd.bank);
+                });
                 break;
             }
             auto &bt = banks[cmd.bank];
             if (bt.open)
-                violate(cycle, "ACT on an open bank (missing PRE)");
+                violate(cycle, [] {
+                    return "ACT on an open bank (missing PRE)";
+                });
             require_gap(cycle, bt.lastAct, tRc, "tRC");
             require_gap(cycle, bt.lastPre, tRp, "tRP");
             if (lastActAnyBank && (!bt.lastAct ||
@@ -88,7 +112,9 @@ TimingSpec::check(const CommandSequence &seq,
                                     ? cmd.bank + 1
                                     : num_banks;
             if (lo >= num_banks) {
-                violate(cycle, strprintf("PRE: bad bank %u", cmd.bank));
+                violate(cycle, [&] {
+                    return strprintf("PRE: bad bank %u", cmd.bank);
+                });
                 break;
             }
             for (BankAddr b = lo; b < hi; ++b) {
@@ -105,24 +131,28 @@ TimingSpec::check(const CommandSequence &seq,
           }
           case CommandKind::Read: {
             if (cmd.bank >= num_banks) {
-                violate(cycle, strprintf("RD: bad bank %u", cmd.bank));
+                violate(cycle, [&] {
+                    return strprintf("RD: bad bank %u", cmd.bank);
+                });
                 break;
             }
             auto &bt = banks[cmd.bank];
             if (!bt.open)
-                violate(cycle, "RD on a closed bank");
+                violate(cycle, [] { return "RD on a closed bank"; });
             require_gap(cycle, bt.lastAct, tRcd, "tRCD");
             bt.lastRead = cycle;
             break;
           }
           case CommandKind::Write: {
             if (cmd.bank >= num_banks) {
-                violate(cycle, strprintf("WR: bad bank %u", cmd.bank));
+                violate(cycle, [&] {
+                    return strprintf("WR: bad bank %u", cmd.bank);
+                });
                 break;
             }
             auto &bt = banks[cmd.bank];
             if (!bt.open)
-                violate(cycle, "WR on a closed bank");
+                violate(cycle, [] { return "WR on a closed bank"; });
             require_gap(cycle, bt.lastAct, tRcd, "tRCD");
             bt.lastWrite = cycle;
             break;
@@ -130,8 +160,9 @@ TimingSpec::check(const CommandSequence &seq,
           case CommandKind::Refresh: {
             for (BankAddr b = 0; b < num_banks; ++b) {
                 if (banks[b].open) {
-                    violate(cycle, strprintf(
-                                       "REFRESH with bank %u open", b));
+                    violate(cycle, [&] {
+                        return strprintf("REFRESH with bank %u open", b);
+                    });
                 }
             }
             lastRefresh = cycle;
@@ -141,7 +172,7 @@ TimingSpec::check(const CommandSequence &seq,
             break;
         }
     }
-    return out;
+    return count;
 }
 
 } // namespace fracdram::softmc

@@ -54,6 +54,15 @@ struct TimingSpec
      */
     std::vector<TimingViolation> check(const CommandSequence &seq,
                                        std::uint32_t num_banks) const;
+
+    /** check(seq, num_banks).size(), without building the messages. */
+    std::size_t countViolations(const CommandSequence &seq,
+                                std::uint32_t num_banks) const;
+
+  private:
+    /** The checker: fills @p out when given, counts either way. */
+    std::size_t scan(const CommandSequence &seq, std::uint32_t num_banks,
+                     std::vector<TimingViolation> *out) const;
 };
 
 } // namespace fracdram::softmc

@@ -33,8 +33,13 @@ struct Event
     std::uint64_t dur_ns;
     Phase phase;
     Domain domain;
+    /** Takes the buffer's next TraceArgs. Args live beside the events
+     *  (few events have them, and a full buffer keeps every event
+     *  resident), so this flag sits in padding and Event stays small. */
+    bool hasArgs;
     std::uint32_t lane; //!< Cycle/Request domains: the trace tid
 };
+static_assert(sizeof(Event) == 32);
 
 /** Per-thread buffer, owned by the sink, survives its thread. */
 struct ThreadBuffer
@@ -42,6 +47,7 @@ struct ThreadBuffer
     std::uint32_t tid;
     std::string name;
     std::vector<Event> events;
+    std::vector<TraceArgs> args; //!< of the hasArgs events, in order
     std::uint64_t dropped = 0;
 };
 
@@ -80,14 +86,17 @@ localBuffer()
 }
 
 void
-push(const Event &ev)
+push(const Event &ev, const TraceArgs *args = nullptr)
 {
     ThreadBuffer &buf = localBuffer();
-    if (buf.events.size() >= kMaxEventsPerThread) {
+    // A record of args counts against the budget as one more event.
+    if (buf.events.size() + buf.args.size() >= kMaxEventsPerThread) {
         ++buf.dropped;
         return;
     }
     buf.events.push_back(ev);
+    if (ev.hasArgs)
+        buf.args.push_back(*args);
 }
 
 CounterId
@@ -123,7 +132,8 @@ traceSpan(const char *name, std::uint64_t start_ns,
 {
     if (!enabled())
         return;
-    push({name, start_ns, dur_ns, Phase::Complete, Domain::Wall, 0});
+    push({name, start_ns, dur_ns, Phase::Complete, Domain::Wall, false,
+          0});
 }
 
 void
@@ -131,19 +141,21 @@ traceInstant(const char *name)
 {
     if (!enabled())
         return;
-    push({name, nowNs(), 0, Phase::Instant, Domain::Wall, 0});
+    push({name, nowNs(), 0, Phase::Instant, Domain::Wall, false, 0});
 }
 
 void
 traceCommand(const char *name, std::uint64_t cycle,
-             std::uint64_t dur_cycles, std::uint32_t lane)
+             std::uint64_t dur_cycles, std::uint32_t lane,
+             const TraceArgs *args)
 {
     if (!enabled())
         return;
     // 2.5 ns per memory cycle; store ns so the writer shares one
     // microsecond conversion.
     push({name, cycle * 5 / 2, dur_cycles * 5 / 2, Phase::Complete,
-          Domain::Cycle, lane});
+          Domain::Cycle, args != nullptr, lane},
+         args);
 }
 
 void
@@ -157,7 +169,7 @@ traceRequestSpan(const char *stage, std::uint64_t request_id,
     const auto lane = static_cast<std::uint32_t>(
         request_id ^ (request_id >> 32));
     push({stage, start_ns, dur_ns, Phase::Complete, Domain::Request,
-          lane});
+          false, lane});
 }
 
 bool
@@ -208,6 +220,7 @@ writeChromeTrace(const std::string &path)
 
     const std::uint64_t epoch = s.epochNs;
     for (const ThreadBuffer *buf : s.buffers) {
+        const TraceArgs *next_args = buf->args.data();
         for (const Event &ev : buf->events) {
             comma();
             const bool cycle_ts = ev.domain == Domain::Cycle;
@@ -222,10 +235,23 @@ writeChromeTrace(const std::string &path)
                 std::fprintf(
                     f,
                     "{\"ph\":\"X\",\"pid\":%d,\"tid\":%u,"
-                    "\"name\":\"%s\",\"ts\":%.3f,\"dur\":%.3f}",
+                    "\"name\":\"%s\",\"ts\":%.3f,\"dur\":%.3f",
                     static_cast<int>(ev.domain),
                     ev.domain == Domain::Wall ? buf->tid : ev.lane,
                     ev.name, ts_us, dur_us);
+                bool any = false;
+                if (ev.hasArgs) {
+                    const TraceArgs &args = *next_args++;
+                    for (std::size_t a = 0; a < args.count; ++a) {
+                        if (args.values[a] == 0)
+                            continue;
+                        std::fprintf(f, "%s\"%s\":%u",
+                                     any ? "," : ",\"args\":{",
+                                     args.names[a], args.values[a]);
+                        any = true;
+                    }
+                }
+                std::fputs(any ? "}}" : "}", f);
             } else {
                 std::fprintf(
                     f,
@@ -249,6 +275,7 @@ resetTrace()
     std::lock_guard<std::mutex> lock(s.mutex);
     for (ThreadBuffer *buf : s.buffers) {
         buf->events.clear();
+        buf->args.clear();
         buf->dropped = 0;
     }
     s.epochNs = nowNs();

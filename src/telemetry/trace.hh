@@ -12,8 +12,8 @@
  *  - *DRAM-cycle* events (pid 2): the SoftMC command stream, stamped
  *    from the controller's cycle clock (2.5 ns per cycle). This is
  *    the software analogue of SoftMC's command-level observability:
- *    every ACT/PRE/READ/WRITE of an out-of-spec sequence is visible
- *    with its exact issue cycle.
+ *    every executed sequence is one event at its issue cycle, with
+ *    its length and its ACT/PRE/READ/WRITE/... tally as args.
  *
  * Per-thread event buffers are bounded (spans and commands have
  * separate budgets); once full, further events are dropped and
@@ -55,12 +55,26 @@ void traceSpan(const char *name, std::uint64_t start_ns,
 void traceInstant(const char *name);
 
 /**
- * Record one SoftMC command on the DRAM-cycle timeline. @p lane
- * separates concurrent controllers (one lane per controller works
- * well). @p name must be a literal or interned.
+ * Named counts attached to an event, written as its JSON "args" (zero
+ * counts are left out). @p names points at @p count literals.
+ */
+struct TraceArgs
+{
+    static constexpr std::size_t kMax = 7; //!< a SoftMC command tally
+    const char *const *names = nullptr;
+    std::uint32_t values[kMax] = {};
+    std::uint8_t count = 0;
+};
+
+/**
+ * Record one SoftMC command or sequence on the DRAM-cycle timeline.
+ * @p lane separates concurrent controllers (one lane per controller
+ * works well). @p name must be a literal or interned; @p args, when
+ * given, is copied into the event.
  */
 void traceCommand(const char *name, std::uint64_t cycle,
-                  std::uint64_t dur_cycles, std::uint32_t lane);
+                  std::uint64_t dur_cycles, std::uint32_t lane,
+                  const TraceArgs *args = nullptr);
 
 /**
  * Record one stage span of a traced service request on the

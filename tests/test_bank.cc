@@ -2,13 +2,20 @@
  * @file
  * White-box tests of the bank state machine and analog model: normal
  * activation, interrupted activation (Frac), multi-row activation,
- * row copy, leakage, and the timing-checker vendors.
+ * row copy, leakage, the timing-checker vendors, and the bounded-noise
+ * sensing that full activations and refreshes share.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <random>
+#include <vector>
+
+#include "common/simd/ops_draw.hh"
 #include "common/stats.hh"
 #include "sim/chip.hh"
+#include "sim/sense.hh"
 
 using namespace fracdram;
 using namespace fracdram::sim;
@@ -420,4 +427,229 @@ TEST(BankStreams, WriteResolvedActivationAdvancesLikeSensing)
                   sensed.bank(0).cellVoltage(5, c))
             << "col " << c;
     }
+}
+
+namespace
+{
+
+/**
+ * The dense sensing noisySense replaces: fill one noise draw per
+ * column, then compare every column.
+ */
+std::vector<std::uint8_t>
+denseSense(const std::vector<double> &eq, const std::vector<float> &sa,
+           double half, double sigma, Rng &rng)
+{
+    std::vector<double> noise(eq.size());
+    rng.fillGaussian(noise, 0.0, sigma);
+    std::vector<std::uint8_t> dec(eq.size());
+    for (std::size_t i = 0; i < eq.size(); ++i)
+        dec[i] = (eq[i] - half) > sa[i] + noise[i] ? 1 : 0;
+    return dec;
+}
+
+/** Runs noisySense and the dense path on twin streams and compares. */
+class SenseTwins
+{
+  public:
+    explicit SenseTwins(std::uint64_t seed) : bounded_(seed), dense_(seed)
+    {
+    }
+
+    /** Both streams advance by @p n gaussians (odd n misaligns pairs). */
+    void skip(std::size_t n)
+    {
+        bounded_.skipGaussians(n);
+        dense_.skipGaussians(n);
+    }
+
+    /** Noise draw @p c of the next row, as the dense path sees it. */
+    double peek(std::size_t c, double sigma) const
+    {
+        return sigma * simd::draw::gaussian(dense_.key(),
+                                            dense_.gaussianIndex() + c);
+    }
+
+    /** Sense one row both ways; true when they agree everywhere. */
+    ::testing::AssertionResult
+    agree(const std::vector<double> &eq, const std::vector<float> &sa,
+          double half, double sigma)
+    {
+        const std::uint64_t before = bounded_.gaussianIndex();
+        std::vector<std::uint8_t> got(eq.size(), 0xcc);
+        draws_ = sim::noisySense(got.data(), eq.data(), sa.data(), half,
+                                 sigma, bounded_, eq.size());
+        const auto want = denseSense(eq, sa, half, sigma, dense_);
+        if (bounded_.gaussianIndex() != before + eq.size())
+            return ::testing::AssertionFailure()
+                   << "counter moved by "
+                   << bounded_.gaussianIndex() - before << ", not "
+                   << eq.size();
+        for (std::size_t i = 0; i < eq.size(); ++i)
+            if (got[i] != want[i])
+                return ::testing::AssertionFailure()
+                       << "column " << i << ": bounded " << int(got[i])
+                       << ", dense " << int(want[i]) << " (d - sa = "
+                       << (eq[i] - half) - sa[i] << ")";
+        return ::testing::AssertionSuccess();
+    }
+
+    /** Gaussians the last agree() evaluated. */
+    std::size_t draws() const { return draws_; }
+
+    /** Gaussian counter of both streams. */
+    std::uint64_t index() const { return dense_.gaussianIndex(); }
+
+  private:
+    Rng bounded_, dense_;
+    std::size_t draws_ = 0;
+};
+
+/** Deltas d = eq - half spread over +-spread around the offsets. */
+void
+randomRow(std::mt19937_64 &gen, std::size_t n, double half,
+          double spread, std::vector<double> &eq, std::vector<float> &sa)
+{
+    std::uniform_real_distribution<double> u(-1.0, 1.0);
+    eq.resize(n);
+    sa.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        sa[i] = static_cast<float>(0.01 * u(gen));
+        eq[i] = half + sa[i] + spread * u(gen);
+    }
+}
+
+} // namespace
+
+TEST(BoundedSense, MatchesDenseOnRandomRows)
+{
+    std::mt19937_64 gen(11);
+    SenseTwins twins(0xb0u);
+    std::vector<double> eq;
+    std::vector<float> sa;
+    for (const double sigma : {0.004, 0.01, 0.05}) {
+        for (const double spread : {0.01, 0.1, 1.0}) {
+            // Sizes around noisySense's 1024-column blocks too.
+            for (const std::size_t n :
+                 {1, 15, 16, 17, 1023, 1024, 1025, 2048, 3001}) {
+                randomRow(gen, n, 0.6, spread, eq, sa);
+                EXPECT_TRUE(twins.agree(eq, sa, 0.6, sigma))
+                    << "sigma " << sigma << " spread " << spread
+                    << " n " << n;
+                twins.skip(n % 3); // vary the pair alignment
+            }
+        }
+    }
+}
+
+TEST(BoundedSense, OnlyMarginalPairsAreDrawn)
+{
+    // A row whose deltas all sit far outside the noise draws nothing;
+    // one marginal column costs one pair.
+    SenseTwins twins(7);
+    const double sigma = 0.01;
+    std::vector<double> eq(2048);
+    std::vector<float> sa(2048, 0.0f);
+    for (std::size_t i = 0; i < eq.size(); ++i)
+        eq[i] = (i & 1) ? 0.2 : -0.2;
+    EXPECT_TRUE(twins.agree(eq, sa, 0.0, sigma));
+    EXPECT_EQ(twins.draws(), 0u);
+    eq[1000] = 0.0;
+    EXPECT_TRUE(twins.agree(eq, sa, 0.0, sigma));
+    EXPECT_EQ(twins.draws(), 2u);
+}
+
+TEST(BoundedSense, ColumnsAtTheBound)
+{
+    // Deltas at sa +- the noise reach, and a few ulps either side of
+    // it, on both pair alignments.
+    const double sigma = 0.02;
+    const double reach = sigma * simd::draw::kGaussianMax;
+    SenseTwins twins(3);
+    std::vector<double> eq;
+    std::vector<float> sa;
+    std::mt19937_64 gen(5);
+    std::uniform_real_distribution<double> u(-0.01, 0.01);
+    for (int row = 0; row < 4; ++row) {
+        eq.clear();
+        sa.clear();
+        for (const double sign : {1.0, -1.0}) {
+            for (int ulps = -4; ulps <= 4; ++ulps) {
+                const float s = static_cast<float>(u(gen));
+                double d = s + sign * reach;
+                for (int k = 0; k < std::abs(ulps); ++k)
+                    d = std::nextafter(d, ulps > 0 ? 1.0 : -1.0);
+                sa.push_back(s);
+                eq.push_back(d); // half = 0: eq is the delta
+            }
+        }
+        EXPECT_TRUE(twins.agree(eq, sa, 0.0, sigma)) << "row " << row;
+        twins.skip(1);
+    }
+}
+
+TEST(BoundedSense, ColumnsOnTheirOwnNoise)
+{
+    // Every delta sits on the knife edge of its own noise draw,
+    // sa + noise, or up to two ulps off it, so each decision turns on
+    // the exact draw. Sixteen rows in a row, then the row holding the
+    // widest of the next 4 Mi draws at every offset: a bound that cuts
+    // into the range the draws reach (beyond 5 sigma there) fails.
+    const double sigma = 0.03;
+    const std::uint64_t seed = 0xed9e;
+    std::vector<double> eq(4096);
+    std::vector<float> sa(4096);
+    std::mt19937_64 gen(9);
+    std::uniform_real_distribution<double> u(-0.01, 0.01);
+    auto knife_row = [&](SenseTwins &twins, std::size_t phase) {
+        for (std::size_t c = 0; c < eq.size(); ++c) {
+            sa[c] = static_cast<float>(u(gen));
+            double d = sa[c] + twins.peek(c, sigma);
+            const int ulps = static_cast<int>((c + phase) % 5) - 2;
+            for (int k = 0; k < std::abs(ulps); ++k)
+                d = std::nextafter(d, ulps > 0 ? 1.0 : -1.0);
+            eq[c] = d;
+        }
+        return twins.agree(eq, sa, 0.0, sigma);
+    };
+    SenseTwins twins(seed);
+    for (int row = 0; row < 16; ++row) {
+        ASSERT_TRUE(knife_row(twins, 0)) << "row " << row;
+        twins.skip(row & 1);
+    }
+
+    Rng scan(seed);
+    const std::uint64_t from = twins.index();
+    scan.skipGaussians(from);
+    std::vector<double> chunk(std::size_t{1} << 16);
+    std::uint64_t widest_at = 0;
+    double widest = 0.0;
+    for (std::uint64_t k = 0; k < 64; ++k) {
+        scan.fillGaussian(chunk, 0.0, 1.0);
+        for (std::size_t i = 0; i < chunk.size(); ++i)
+            if (std::fabs(chunk[i]) > widest) {
+                widest = std::fabs(chunk[i]);
+                widest_at = from + k * chunk.size() + i;
+            }
+    }
+    ASSERT_GT(widest, 5.0);
+    for (std::size_t phase = 0; phase < 5; ++phase) {
+        SenseTwins at(seed);
+        at.skip(widest_at - widest_at % eq.size());
+        EXPECT_TRUE(knife_row(at, phase))
+            << "row with the " << widest << " sigma draw, phase "
+            << phase;
+    }
+}
+
+TEST(BoundedSense, ZeroSigmaDrawsNothing)
+{
+    std::mt19937_64 gen(13);
+    SenseTwins twins(21);
+    std::vector<double> eq;
+    std::vector<float> sa;
+    randomRow(gen, 2048, 0.5, 0.01, eq, sa);
+    eq[3] = 0.5 + sa[3]; // exactly on the offset: decides 0
+    EXPECT_TRUE(twins.agree(eq, sa, 0.5, 0.0));
+    EXPECT_EQ(twins.draws(), 0u);
 }

@@ -6,13 +6,15 @@
  * every kernel, over random inputs at sizes covering every vector
  * tail length (n % 16 in [0, 15]) plus word-boundary and row-sized
  * cases. The same holds for the RNG fills of common/simd/ops, at even
- * and odd start counters. This is the contract that lets the
+ * and odd start counters, and for gaussianPairs at pair indices across
+ * the counter's 32-bit carry. This is the contract that lets the
  * golden-digest suite hold regardless of FRACDRAM_ISA (see DESIGN.md,
  * "SIMD dispatch").
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -195,19 +197,79 @@ TEST(KernelsIsaTest, Equilibrium)
         }
 }
 
-TEST(KernelsIsaTest, SenseDecide)
+TEST(KernelsIsaTest, SenseBounded)
+{
+    const KernelTable &ref = scalarKernelTable();
+    for (const auto &tier : vectorTiers())
+        for (const std::size_t n : testSizes())
+            // Nothing, some and every column marginal.
+            for (const double reach : {0.0, 0.05, 1.0}) {
+                Inputs in(n * 7 + 1, n);
+                std::vector<std::uint8_t> got(n, 0xcc), want(n, 0xcc);
+                std::vector<std::uint32_t> gm(n, 7), wm(n, 7);
+                const std::size_t g = tier.table->senseBounded(
+                    got.data(), gm.data(), in.eq.data(), in.sa.data(),
+                    0.5, reach, n);
+                const std::size_t w = ref.senseBounded(
+                    want.data(), wm.data(), in.eq.data(), in.sa.data(),
+                    0.5, reach, n);
+                ASSERT_EQ(g, w) << tier.name << " n=" << n;
+                gm.resize(g);
+                wm.resize(w);
+                EXPECT_TRUE(bitIdentical(got, want))
+                    << tier.name << " n=" << n << " reach=" << reach;
+                EXPECT_TRUE(bitIdentical(gm, wm))
+                    << tier.name << " n=" << n << " reach=" << reach;
+            }
+}
+
+TEST(KernelsIsaTest, SenseBoundedEdges)
+{
+    // The scalar contract at the bound itself: d == s + reach and
+    // d == s - reach + ulp stay marginal, one ulp outward is clear.
+    const float sa = 0.01f;
+    const double reach = 0.03;
+    const double s = sa;
+    const double hi = s + reach;
+    const double lo = s - reach;
+    // half = 0, so eq itself is the delta d the kernel compares.
+    const double probe[] = {std::nextafter(hi, 1.0), hi,
+                            std::nextafter(hi, 0.0),
+                            std::nextafter(lo, 1.0), lo,
+                            std::nextafter(lo, -1.0), s};
+    // Three copies: 21 columns reach the vector tiers' main loops.
+    std::vector<double> eq;
+    std::vector<std::uint8_t> want_dec;
+    std::vector<std::uint32_t> want_marg;
+    for (std::uint32_t rep = 0; rep < 3; ++rep) {
+        eq.insert(eq.end(), std::begin(probe), std::end(probe));
+        want_dec.insert(want_dec.end(), {1, 0, 0, 0, 0, 0, 0});
+        for (const std::uint32_t c : {1, 2, 3, 6})
+            want_marg.push_back(7 * rep + c);
+    }
+    const std::vector<float> sas(eq.size(), sa);
+    std::vector<const KernelTable *> tables = {&scalarKernelTable()};
+    for (const auto &tier : vectorTiers())
+        tables.push_back(tier.table);
+    for (const KernelTable *t : tables) {
+        std::vector<std::uint8_t> dec(eq.size(), 0xcc);
+        std::vector<std::uint32_t> marg(eq.size());
+        marg.resize(t->senseBounded(dec.data(), marg.data(), eq.data(),
+                                    sas.data(), 0.0, reach, eq.size()));
+        EXPECT_EQ(dec, want_dec);
+        EXPECT_EQ(marg, want_marg);
+    }
+}
+
+TEST(KernelsIsaTest, CountFlips)
 {
     const KernelTable &ref = scalarKernelTable();
     for (const auto &tier : vectorTiers())
         for (const std::size_t n : testSizes()) {
-            Inputs in(n * 7 + 1, n);
-            std::vector<std::uint8_t> got(n, 0xcc), want(n, 0xcc);
-            tier.table->senseDecide(got.data(), in.eq.data(),
-                                    in.sa.data(), in.noise.data(), 0.5,
-                                    n);
-            ref.senseDecide(want.data(), in.eq.data(), in.sa.data(),
-                            in.noise.data(), 0.5, n);
-            EXPECT_TRUE(bitIdentical(got, want))
+            Inputs in(n * 31 + 1, n); // dec holds arbitrary bytes
+            EXPECT_EQ(tier.table->countFlips(in.dec.data(), in.eq.data(),
+                                             0.5, n),
+                      ref.countFlips(in.dec.data(), in.eq.data(), 0.5, n))
                 << tier.name << " n=" << n;
         }
 }
@@ -364,6 +426,65 @@ TEST(KernelsIsaTest, RngGaussianFill)
                 EXPECT_TRUE(bitIdentical(got, want))
                     << name << " n=" << n << " start=" << start;
             }
+}
+
+TEST(KernelsIsaTest, RngGaussianPairs)
+{
+    const simd::RawOps &ref = *simd::rawOpsForIsa(simd::Isa::Scalar);
+    // Pair indices around the 32-bit carry of the counter's low word
+    // and far up the stream.
+    constexpr std::uint64_t kBases[] = {0, (1ULL << 32) - 2,
+                                        (1ULL << 40) - 1};
+    for (const auto &[name, ops] : rawVectorTiers())
+        for (const std::size_t n : testSizes())
+            for (const std::uint64_t base : kBases) {
+                const std::uint64_t key = 0x243f6a8885a308d3ULL + n;
+                std::vector<std::uint64_t> pairs(n);
+                std::mt19937_64 gen(n ^ base);
+                std::uint64_t p = base;
+                for (auto &x : pairs) {
+                    x = p;
+                    p += 1 + gen() % 5; // sparse, ascending
+                }
+                std::vector<double> gc(n, -1.0), gs(n, -1.0);
+                std::vector<double> wc(n, -1.0), ws(n, -1.0);
+                ops->gaussianPairs(gc.data(), gs.data(), pairs.data(), n,
+                                   key, 0.25, 1.5);
+                ref.gaussianPairs(wc.data(), ws.data(), pairs.data(), n,
+                                  key, 0.25, 1.5);
+                EXPECT_TRUE(bitIdentical(gc, wc))
+                    << name << " n=" << n << " base=" << base;
+                EXPECT_TRUE(bitIdentical(gs, ws))
+                    << name << " n=" << n << " base=" << base;
+            }
+}
+
+TEST(KernelsIsaTest, RngGaussianPairsMatchFill)
+{
+    // Pair k's halves are gaussians 2k and 2k + 1 of the fill.
+    for (const simd::Isa isa :
+         {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
+        const simd::RawOps *ops = simd::rawOpsForIsa(isa);
+        if (ops == nullptr)
+            continue;
+        const std::uint64_t key = 0xfeedULL;
+        const std::uint64_t first = (1ULL << 32) - 3;
+        std::vector<double> fill(64);
+        ops->gaussianFill(fill.data(), fill.size(), key, 2 * first,
+                          0.0, 0.7);
+        std::vector<std::uint64_t> pairs(32);
+        for (std::size_t k = 0; k < pairs.size(); ++k)
+            pairs[k] = first + k;
+        std::vector<double> c(32), s(32), want_c(32), want_s(32);
+        ops->gaussianPairs(c.data(), s.data(), pairs.data(), 32, key,
+                           0.0, 0.7);
+        for (std::size_t k = 0; k < 32; ++k) {
+            want_c[k] = fill[2 * k];
+            want_s[k] = fill[2 * k + 1];
+        }
+        EXPECT_TRUE(bitIdentical(c, want_c)) << simd::isaName(isa);
+        EXPECT_TRUE(bitIdentical(s, want_s)) << simd::isaName(isa);
+    }
 }
 
 TEST(KernelsIsaTest, RngChanceFill)

@@ -232,6 +232,46 @@ TEST(RngMath, SincosMatchesLibm)
     EXPECT_LE(worst, 1e-13);
 }
 
+TEST(RngMath, GaussianBound)
+{
+    using simd::draw::Block;
+    // A zero word is the smallest Box-Muller input, 2^-53, and so the
+    // largest radius; the bound must cover it, and the next inputs up
+    // must stay below it.
+    const double top = simd::draw::radius(Block{{0, 0, 0, 0}});
+    EXPECT_LE(top, simd::draw::kGaussianMax);
+    EXPECT_GT(top, 8.57);
+    for (std::uint32_t w = 1; w < 4096; ++w)
+        ASSERT_LT(simd::draw::radius(Block{{w << 11, 0, 0, 0}}), top)
+            << w;
+}
+
+TEST(RngMath, TurnWithinUnitCircle)
+{
+    // |cos| and |sin| <= 1 on a grid, and a few ulps around every
+    // quadrant edge (4u an integer, where x = 0) and every
+    // polynomial-range edge (4u half-integer, where |x| = pi/4).
+    std::vector<double> us;
+    for (std::size_t i = 0; i < kSweep; ++i)
+        us.push_back(static_cast<double>(i) / kSweep);
+    for (int k = 0; k <= 8; ++k) {
+        double lo = k / 8.0, hi = k / 8.0;
+        for (int step = 0; step < 64; ++step) {
+            us.push_back(lo);
+            us.push_back(hi);
+            lo = std::nextafter(lo, 0.0);
+            hi = std::nextafter(hi, 1.0);
+        }
+    }
+    for (const double u : us) {
+        if (u < 0.0 || u >= 1.0)
+            continue;
+        const auto t = simd::draw::turn(u);
+        ASSERT_LE(std::fabs(t.cos), 1.0) << u;
+        ASSERT_LE(std::fabs(t.sin), 1.0) << u;
+    }
+}
+
 TEST(RngMath, GaussianDistribution)
 {
     Rng r(43);

@@ -241,6 +241,31 @@ TEST(TelemetryTrace, ChromeTraceJsonSchema)
               std::string::npos);
 }
 
+TEST(TelemetryTrace, CommandArgsWriteNonzeroCounts)
+{
+    TelemetryGuard guard;
+    setEnabled(true);
+    static const char *const kNames[] = {"ACT", "PRE", "READ"};
+    TraceArgs args;
+    args.names = kNames;
+    args.count = 3;
+    args.values[0] = 2;
+    args.values[2] = 1;
+    traceCommand("quac", 40, 8, /*lane=*/3, &args);
+    setEnabled(false);
+
+    const std::string path =
+        testing::TempDir() + "fracdram_trace_args.json";
+    ASSERT_TRUE(writeChromeTrace(path));
+    const std::string json = readFile(path);
+    std::remove(path.c_str());
+    EXPECT_NE(json.find("\"name\":\"quac\",\"ts\":0.100,\"dur\":0.020,"
+                        "\"args\":{\"ACT\":2,\"READ\":1}}"),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(countOccurrences(json, "{"), countOccurrences(json, "}"));
+}
+
 TEST(TelemetryTrace, InternedNamesAreStable)
 {
     TelemetryGuard guard;

@@ -9,6 +9,7 @@
 #include "core/frac_op.hh"
 #include "core/multi_row.hh"
 #include "core/rowclone.hh"
+#include "common/rng.hh"
 #include "softmc/timing.hh"
 
 using namespace fracdram;
@@ -119,4 +120,30 @@ TEST(TimingSpec, BackToBackActsOnDifferentBanksViolateTRrd)
     seq.act(0, 1);
     seq.act(1, 1);
     EXPECT_TRUE(hasViolation(spec.check(seq, 8), "tRRD"));
+}
+
+TEST(TimingSpec, CountMatchesCheck)
+{
+    // countViolations skips the messages but must count exactly the
+    // violations check() lists, on random command soups.
+    const TimingSpec spec = TimingSpec::ddr3();
+    Rng rng(17);
+    for (int trial = 0; trial < 500; ++trial) {
+        CommandSequence seq;
+        const int len = 1 + static_cast<int>(rng.below(12));
+        for (int i = 0; i < len; ++i) {
+            const auto bank = static_cast<BankAddr>(rng.below(10));
+            switch (rng.below(6)) {
+              case 0: seq.act(bank, 1); break;
+              case 1: seq.pre(bank); break;
+              case 2: seq.preAll(); break;
+              case 3: seq.read(bank); break;
+              case 4: seq.write(bank, BitVector(8)); break;
+              default: seq.refresh(); break;
+            }
+            seq.idle(rng.below(30));
+        }
+        EXPECT_EQ(spec.countViolations(seq, 8), spec.check(seq, 8).size())
+            << "trial " << trial;
+    }
 }
