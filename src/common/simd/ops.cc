@@ -24,7 +24,6 @@ rawOpsForIsa(Isa isa)
     case Isa::Scalar:
         return &kScalarOps;
     case Isa::Avx2:
-    case Isa::Avx512: // the AVX2 table serves AVX-512 machines
 #if FRACDRAM_HAVE_AVX2
         if (cpuFeatures().avx2)
             return &avx2RawOps();

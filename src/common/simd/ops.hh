@@ -14,7 +14,7 @@
  * Bit-exactness: every tier evaluates the per-element expressions of
  * ops_draw.hh with the same roundings, so all tiers write identical
  * bytes (tests/test_kernels_isa.cc memcmps them). The table has a
- * scalar and an AVX2 tier; an AVX-512 machine runs the AVX2 tier.
+ * scalar and an AVX2 tier, like every dispatched path.
  */
 
 #ifndef FRACDRAM_COMMON_SIMD_OPS_HH

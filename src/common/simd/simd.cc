@@ -13,9 +13,6 @@
 #ifndef FRACDRAM_HAVE_AVX2
 #define FRACDRAM_HAVE_AVX2 0
 #endif
-#ifndef FRACDRAM_HAVE_AVX512
-#define FRACDRAM_HAVE_AVX512 0
-#endif
 #ifndef FRACDRAM_HAVE_SHANI
 #define FRACDRAM_HAVE_SHANI 0
 #endif
@@ -51,19 +48,12 @@ detect()
     if (!osxsave || !avx)
         return f;
     const std::uint64_t xcr0 = readXcr0();
-    const bool ymm_os = (xcr0 & 0x6) == 0x6;   // XMM + YMM state
-    const bool zmm_os = (xcr0 & 0xe6) == 0xe6; // + opmask/ZMM state
+    const bool ymm_os = (xcr0 & 0x6) == 0x6; // XMM + YMM state
     const bool avx2 = (ebx & (1u << 5)) != 0;
     const bool bmi2 = (ebx & (1u << 8)) != 0;
-    const bool avx512f = (ebx & (1u << 16)) != 0;
-    const bool avx512dq = (ebx & (1u << 17)) != 0;
-    const bool avx512bw = (ebx & (1u << 30)) != 0;
-    const bool avx512vl = (ebx & (1u << 31)) != 0;
     // The AVX2 kernels use BMI2 (pdep) for bit<->lane conversion, so
     // the tier requires both; every AVX2 part since Haswell has BMI2.
     f.avx2 = ymm_os && avx2 && bmi2;
-    f.avx512 =
-        zmm_os && f.avx2 && avx512f && avx512dq && avx512bw && avx512vl;
     return f;
 }
 
@@ -81,9 +71,7 @@ detect()
 constexpr Isa
 builtIsa()
 {
-#if FRACDRAM_HAVE_AVX512
-    return Isa::Avx512;
-#elif FRACDRAM_HAVE_AVX2
+#if FRACDRAM_HAVE_AVX2
     return Isa::Avx2;
 #else
     return Isa::Scalar;
@@ -97,8 +85,6 @@ describeRaw(Isa isa)
     std::string hw;
     if (f.avx2)
         hw += " avx2";
-    if (f.avx512)
-        hw += " avx512";
     if (f.shaNi)
         hw += " sha_ni";
     if (hw.empty())
@@ -121,17 +107,14 @@ resolve()
     Isa best = Isa::Scalar;
     if (f.avx2 && builtIsa() >= Isa::Avx2)
         best = Isa::Avx2;
-    if (f.avx512 && builtIsa() >= Isa::Avx512)
-        best = Isa::Avx512;
 
     Isa pick = best;
     const char *env = std::getenv("FRACDRAM_ISA");
     if (env != nullptr && env[0] != '\0') {
         Isa asked;
         if (!parseIsa(env, asked)) {
-            warn("FRACDRAM_ISA='%s' is not scalar|avx2|avx512; "
-                 "using %s",
-                 env, isaName(best));
+            warn("FRACDRAM_ISA='%s' is not scalar|avx2; using %s", env,
+                 isaName(best));
         } else if (asked > best) {
             warn("FRACDRAM_ISA=%s exceeds what this machine/build "
                  "supports; clamping to %s",
@@ -194,8 +177,6 @@ isaName(Isa isa)
         return "scalar";
     case Isa::Avx2:
         return "avx2";
-    case Isa::Avx512:
-        return "avx512";
     }
     return "scalar";
 }
@@ -207,8 +188,6 @@ parseIsa(const char *name, Isa &out)
         out = Isa::Scalar;
     else if (std::strcmp(name, "avx2") == 0)
         out = Isa::Avx2;
-    else if (std::strcmp(name, "avx512") == 0)
-        out = Isa::Avx512;
     else
         return false;
     return true;

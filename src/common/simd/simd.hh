@@ -10,9 +10,10 @@
  * on first use, behind a function-local static - thread-safe, and
  * cheap enough that dispatch sites just call activeIsa().
  *
- * FRACDRAM_ISA=scalar|avx2|avx512 forces a tier for testing and
- * benching; asking for more than the machine (or the build) supports
- * clamps down with a warning. "scalar" disables *everything*,
+ * FRACDRAM_ISA=scalar|avx2 forces a tier for testing and benching;
+ * asking for more than the machine (or the build) supports clamps
+ * down with a warning, and an unknown name warns and keeps the best
+ * tier. "scalar" disables *everything*,
  * including SHA-NI, so the fallback paths stay honestly exercised.
  *
  * Bit-exactness contract: selecting a different ISA never changes any
@@ -34,16 +35,14 @@ namespace fracdram::simd
 enum class Isa : int
 {
     Scalar = 0,
-    Avx2 = 1,   //!< 256-bit, implies BMI2 (Haswell+)
-    Avx512 = 2, //!< 512-bit, requires F+BW+DQ+VL and OS zmm state
+    Avx2 = 1, //!< 256-bit, implies BMI2 (Haswell+)
 };
 
 /** What the silicon (and the OS) can execute, regardless of build. */
 struct CpuFeatures
 {
-    bool avx2 = false;   //!< AVX2 + BMI2, OS ymm state enabled
-    bool avx512 = false; //!< AVX-512 F/BW/DQ/VL, OS zmm state enabled
-    bool shaNi = false;  //!< SHA-NI extension present
+    bool avx2 = false;  //!< AVX2 + BMI2, OS ymm state enabled
+    bool shaNi = false; //!< SHA-NI extension present
 };
 
 /** Detected hardware features (computed once). */
@@ -62,7 +61,7 @@ Isa activeIsa();
  */
 bool shaNiActive();
 
-/** "scalar" / "avx2" / "avx512". */
+/** "scalar" / "avx2". */
 const char *isaName(Isa isa);
 
 /**
@@ -73,7 +72,7 @@ bool parseIsa(const char *name, Isa &out);
 
 /**
  * One-line summary of the resolution for logs and BENCH records,
- * e.g. "avx512 (hw: avx2 avx512 sha_ni; sha: sha_ni)".
+ * e.g. "avx2 (hw: avx2 sha_ni; sha: sha_ni)".
  */
 std::string describeIsa();
 

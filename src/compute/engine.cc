@@ -185,7 +185,7 @@ BitwiseEngine::opCopy(const Value &a)
 Cycles
 BitwiseEngine::cyclesUsed() const
 {
-    return mc_.accountant().total();
+    return mc_.sequenceCycles();
 }
 
 } // namespace fracdram::compute

@@ -175,23 +175,27 @@ fillFromBitsAvx2(float *volts, const std::uint64_t *words,
 {
     const std::uint64_t flip = invert ? ~std::uint64_t{0} : 0;
     const __m256 vddv = _mm256_set1_ps(vdd);
+    // sel[g] lane j holds bit 8g + j: one broadcast of 32 bits feeds
+    // four and+compare rail selections, with no per-byte shuffle.
+    const __m256i bit0 = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    const __m256i sel[4] = {bit0, _mm256_slli_epi32(bit0, 8),
+                            _mm256_slli_epi32(bit0, 16),
+                            _mm256_slli_epi32(bit0, 24)};
     const std::size_t full = n / 64;
     for (std::size_t w = 0; w < full; ++w) {
         const std::uint64_t bits = words[w] ^ flip;
         float *out = volts + w * 64;
-        for (std::size_t g = 0; g < 8; ++g) {
-            // 8 bits -> 8 one-byte lanes -> 8 float rails.
-            const std::uint64_t bytes = _pdep_u64(
-                (bits >> (8 * g)) & 0xff, 0x0101010101010101ULL);
-            const __m128i b = _mm_cvtsi64_si128(
-                static_cast<long long>(bytes));
-            const __m256i lanes = _mm256_cvtepu8_epi32(b);
-            const __m256i is_zero = _mm256_cmpeq_epi32(
-                lanes, _mm256_setzero_si256());
-            _mm256_storeu_ps(
-                out + 8 * g,
-                _mm256_andnot_ps(_mm256_castsi256_ps(is_zero),
-                                 vddv));
+        for (std::size_t h = 0; h < 2; ++h) {
+            const __m256i half = _mm256_set1_epi32(
+                static_cast<int>(static_cast<std::uint32_t>(
+                    bits >> (32 * h))));
+            for (std::size_t g = 0; g < 4; ++g) {
+                const __m256i set = _mm256_cmpeq_epi32(
+                    _mm256_and_si256(half, sel[g]), sel[g]);
+                _mm256_storeu_ps(
+                    out + 32 * h + 8 * g,
+                    _mm256_and_ps(_mm256_castsi256_ps(set), vddv));
+            }
         }
     }
     const std::size_t done = full * 64;
@@ -222,8 +226,6 @@ packDecisionsAvx2(std::uint64_t *words, const std::uint8_t *dec,
     const std::size_t done = full * 64;
     scalar::packDecisions(words + full, dec + done, invert, n - done);
 }
-
-} // namespace
 
 std::size_t
 senseBoundedAvx2(std::uint8_t *dec, std::uint32_t *marg, const double *eq,
@@ -297,6 +299,8 @@ countFlipsAvx2(const std::uint8_t *dec, const double *eq, double half,
     }
     return flips + scalar::countFlips(dec + i, eq + i, half, n - i);
 }
+
+} // namespace
 
 const KernelTable &
 avx2KernelTable()

@@ -2,8 +2,8 @@
  * @file
  * Per-kernel function-pointer table behind sim/kernels.hh.
  *
- * Each compiled tier (kernels_scalar.cc, kernels_avx2.cc,
- * kernels_avx512.cc) exposes one immutable KernelTable; kernels.cc
+ * Each compiled tier (kernels_scalar.cc, kernels_avx2.cc) exposes
+ * one immutable KernelTable; kernels.cc
  * resolves the active table once (simd::activeIsa()) and forwards
  * every public kernel through it. The vector TUs implement only the
  * full-width main loops and delegate their tails to the scalar table,
@@ -67,16 +67,6 @@ const KernelTable &scalarKernelTable();
 #if FRACDRAM_HAVE_AVX2
 /** AVX2 tier (kernels_avx2.cc; present when the build compiled it). */
 const KernelTable &avx2KernelTable();
-/** The AVX2 senseBounded and countFlips, which the AVX-512 table shares. */
-std::size_t senseBoundedAvx2(std::uint8_t *dec, std::uint32_t *marg,
-                             const double *eq, const float *sa,
-                             double half, double reach, std::size_t n);
-std::size_t countFlipsAvx2(const std::uint8_t *dec, const double *eq,
-                           double half, std::size_t n);
-#endif
-#if FRACDRAM_HAVE_AVX512
-/** AVX-512 tier (kernels_avx512.cc). */
-const KernelTable &avx512KernelTable();
 #endif
 
 /**

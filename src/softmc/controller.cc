@@ -54,43 +54,6 @@ std::atomic<std::uint32_t> nextLane{1};
 
 } // namespace
 
-void
-CycleAccountant::add(const std::string &label, Cycles cycles)
-{
-    cycles_[label] += cycles;
-    counts_[label] += 1;
-}
-
-Cycles
-CycleAccountant::of(const std::string &label) const
-{
-    const auto it = cycles_.find(label);
-    return it == cycles_.end() ? 0 : it->second;
-}
-
-std::size_t
-CycleAccountant::countOf(const std::string &label) const
-{
-    const auto it = counts_.find(label);
-    return it == counts_.end() ? 0 : it->second;
-}
-
-Cycles
-CycleAccountant::total() const
-{
-    Cycles t = 0;
-    for (const auto &[label, c] : cycles_)
-        t += c;
-    return t;
-}
-
-void
-CycleAccountant::clear()
-{
-    cycles_.clear();
-    counts_.clear();
-}
-
 MemoryController::MemoryController(sim::DramChip &chip, bool enforce_spec)
     : chip_(chip), spec_(TimingSpec::ddr3()), enforceSpec_(enforce_spec),
       telemetryLane_(nextLane.fetch_add(1, std::memory_order_relaxed))
@@ -190,8 +153,8 @@ MemoryController::execute(const CommandSequence &seq,
                 telemetry::count(by_kind[k], tally[k]);
         telemetry::count(tc.cycles, len);
         telemetry::observe(tc.seqLen, len);
-        // The accountant's labels double as metric names, so the
-        // per-operation cycle budget shows up in every run report.
+        // Sequence labels double as metric names, so the per-operation
+        // cycle budget shows up in every run report.
         const LabelTelemetry &lt = labelTelemetry(label);
         telemetry::count(lt.cycles, len);
         // One trace event per sequence, carrying its command tally.
@@ -207,7 +170,7 @@ MemoryController::execute(const CommandSequence &seq,
     clock_ += len + margin;
     chip_.advanceTime(static_cast<Seconds>(len + margin) * memCycleNs *
                       1e-9);
-    accountant_.add(label, len);
+    sequenceCycles_ += len;
     result.cycles = len;
     return result;
 }

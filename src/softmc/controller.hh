@@ -4,8 +4,9 @@
  *
  * The controller executes timed command sequences against a simulated
  * module, keeps a global cycle clock, converts elapsed cycles into
- * simulated wall-clock time (so leakage is honest), and accounts
- * cycles per labeled operation for the paper's latency numbers.
+ * simulated wall-clock time (so leakage is honest), and sums the
+ * cycles of every sequence for the paper's latency numbers (telemetry
+ * splits them per labeled operation, as softmc.cycles.<label>).
  *
  * It also provides the JEDEC-compliant host helpers (read/write a
  * row) in both the logic and the voltage domain. The voltage-domain
@@ -16,7 +17,6 @@
 #ifndef FRACDRAM_SOFTMC_CONTROLLER_HH
 #define FRACDRAM_SOFTMC_CONTROLLER_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -29,38 +29,6 @@
 
 namespace fracdram::softmc
 {
-
-/**
- * Accumulates memory cycles per labeled operation class.
- */
-class CycleAccountant
-{
-  public:
-    /** Charge @p cycles to @p label. */
-    void add(const std::string &label, Cycles cycles);
-
-    /** Cycles charged to a label (0 when never charged). */
-    Cycles of(const std::string &label) const;
-
-    /** Number of executions charged to a label. */
-    std::size_t countOf(const std::string &label) const;
-
-    /** Total cycles across all labels. */
-    Cycles total() const;
-
-    /** Reset all counters. */
-    void clear();
-
-    /** Labeled totals, sorted by label. */
-    const std::map<std::string, Cycles> &byLabel() const
-    {
-        return cycles_;
-    }
-
-  private:
-    std::map<std::string, Cycles> cycles_;
-    std::map<std::string, std::size_t> counts_;
-};
 
 /**
  * The software memory controller driving one module.
@@ -91,7 +59,8 @@ class MemoryController
      * the sequence length.
      *
      * @param seq sequence to run
-     * @param label accountant label to charge
+     * @param label operation class; names the sequence's
+     *        softmc.cycles.<label> counter and trace event
      */
     ExecResult execute(const CommandSequence &seq,
                        const std::string &label = "sequence");
@@ -144,14 +113,20 @@ class MemoryController
     void setEnforceSpec(bool enforce) { enforceSpec_ = enforce; }
 
     const TimingSpec &spec() const { return spec_; }
-    CycleAccountant &accountant() { return accountant_; }
     sim::DramChip &chip() { return chip_; }
 
     /** Global cycle clock (monotone across sequences). */
     Cycles nowCycles() const { return clock_; }
 
+    /**
+     * Sum of the lengths of every executed sequence. Unlike
+     * nowCycles() it leaves out the settle margin after each sequence
+     * and the time passed by waitSeconds().
+     */
+    Cycles sequenceCycles() const { return sequenceCycles_; }
+
   private:
-    /** Telemetry handles of one accountant label, looked up once. */
+    /** Telemetry handles of one sequence label, looked up once. */
     struct LabelTelemetry
     {
         std::string label;
@@ -166,7 +141,7 @@ class MemoryController
     bool enforceSpec_;
     Cycles clock_ = 0;
     Cycles cyclesPerBurst_ = 4;
-    CycleAccountant accountant_;
+    Cycles sequenceCycles_ = 0;
     /** Telemetry lane on the DRAM-cycle trace timeline; controllers
      *  get distinct lanes so parallel trials don't interleave. */
     std::uint32_t telemetryLane_;

@@ -19,7 +19,7 @@
  *
  * Metric names are interned to dense ids; hot call sites cache the id
  * in a function-local static, dynamic-label sites (e.g. the SoftMC
- * cycle accountant) intern per call under a shared read lock.
+ * per-label cycle counters) intern under a shared read lock.
  * Histograms use power-of-two buckets (bucket k holds values whose
  * bit width is k), which covers the full u64 range in 65 buckets and
  * needs no per-histogram configuration.

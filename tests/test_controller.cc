@@ -10,6 +10,7 @@
 #include "core/frac_op.hh"
 #include "sim/chip.hh"
 #include "softmc/controller.hh"
+#include "telemetry/metrics.hh"
 
 using namespace fracdram;
 using namespace fracdram::sim;
@@ -81,14 +82,28 @@ TEST_F(ControllerTest, ToVoltageDomainIdentityOnTrueRows)
 
 TEST_F(ControllerTest, AccountantChargesLabels)
 {
+    // The controller keeps one total; telemetry splits it per label.
+    const bool was_enabled = telemetry::enabled();
+    telemetry::setEnabled(true);
+    const auto counter = [](const char *name) -> std::uint64_t {
+        const auto snap = telemetry::Metrics::instance().snapshot();
+        const auto it = snap.counters.find(name);
+        return it == snap.counters.end() ? 0 : it->second;
+    };
+    const auto write0 = counter("softmc.cycles.writeRow");
+    const auto read0 = counter("softmc.cycles.readRow");
     mc.writeRow(0, 1, randomBits(128, 4));
     mc.readRow(0, 1);
     mc.readRow(0, 1);
-    EXPECT_EQ(mc.accountant().countOf("writeRow"), 1u);
-    EXPECT_EQ(mc.accountant().countOf("readRow"), 2u);
-    EXPECT_GT(mc.accountant().of("readRow"), 0u);
-    EXPECT_GT(mc.accountant().total(),
-              mc.accountant().of("readRow"));
+    telemetry::setEnabled(was_enabled);
+
+    const auto write_cycles = counter("softmc.cycles.writeRow") - write0;
+    const auto read_cycles = counter("softmc.cycles.readRow") - read0;
+    EXPECT_GT(write_cycles, 0u);
+    EXPECT_GT(read_cycles, 2 * mc.readRowCycles()); // bursts + ACT/PRE
+    EXPECT_EQ(mc.sequenceCycles(), write_cycles + read_cycles);
+    // The clock also counts the settle margin after each sequence.
+    EXPECT_LT(mc.sequenceCycles(), mc.nowCycles());
 }
 
 TEST_F(ControllerTest, ClockAdvancesMonotonically)
@@ -159,17 +174,3 @@ TEST(ControllerEnforced, RawViolatingSequenceRefused)
     EXPECT_DEATH(mc.execute(seq, "bad"), "violates JEDEC");
 }
 
-TEST(CycleAccountantUnit, Totals)
-{
-    CycleAccountant a;
-    a.add("x", 7);
-    a.add("x", 7);
-    a.add("y", 18);
-    EXPECT_EQ(a.of("x"), 14u);
-    EXPECT_EQ(a.countOf("x"), 2u);
-    EXPECT_EQ(a.of("y"), 18u);
-    EXPECT_EQ(a.of("z"), 0u);
-    EXPECT_EQ(a.total(), 32u);
-    a.clear();
-    EXPECT_EQ(a.total(), 0u);
-}

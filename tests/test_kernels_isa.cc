@@ -1,9 +1,9 @@
 /**
  * @file
  * ISA-equivalence property tests for the dispatched columnar kernels:
- * every vector tier this binary compiled and this machine can run
- * must produce bit-identical output to the scalar reference, for
- * every kernel, over random inputs at sizes covering every vector
+ * the AVX2 tier, when this binary compiled it and this machine can
+ * run it, must produce bit-identical output to the scalar reference,
+ * for every kernel, over random inputs at sizes covering every vector
  * tail length (n % 16 in [0, 15]) plus word-boundary and row-sized
  * cases. The same holds for the RNG fills of common/simd/ops, at even
  * and odd start counters, and for gaussianPairs at pair indices across
@@ -53,16 +53,13 @@ struct Tier
     const KernelTable *table;
 };
 
-/** Every runnable non-scalar tier (may be empty on old machines). */
+/** The runnable AVX2 tier (empty on old machines or without SIMD). */
 std::vector<Tier>
 vectorTiers()
 {
     std::vector<Tier> tiers;
-    for (const simd::Isa isa : {simd::Isa::Avx2, simd::Isa::Avx512}) {
-        const KernelTable *t = kernelTableForIsa(isa);
-        if (t != nullptr)
-            tiers.push_back({simd::isaName(isa), t});
-    }
+    if (const KernelTable *t = kernelTableForIsa(simd::Isa::Avx2))
+        tiers.push_back({simd::isaName(simd::Isa::Avx2), t});
     return tiers;
 }
 
@@ -143,6 +140,25 @@ TEST(KernelsIsaTest, TiersReported)
     RecordProperty("vector_tiers",
                    tiers.empty() ? "none" : names.c_str());
     SUCCEED();
+}
+
+TEST(KernelsIsaTest, ParseIsaKnowsTwoTiers)
+{
+    // FRACDRAM_ISA names exactly the two tiers, lower case; anything
+    // else (the retired 512-bit tier's name included) is rejected, so
+    // resolve() warns and keeps the best tier.
+    simd::Isa isa = simd::Isa::Avx2;
+    ASSERT_TRUE(simd::parseIsa("scalar", isa));
+    EXPECT_EQ(isa, simd::Isa::Scalar);
+    ASSERT_TRUE(simd::parseIsa("avx2", isa));
+    EXPECT_EQ(isa, simd::Isa::Avx2);
+    for (const char *bad : {"avx512", "", "AVX2"}) {
+        isa = simd::Isa::Scalar;
+        EXPECT_FALSE(simd::parseIsa(bad, isa)) << "'" << bad << "'";
+        EXPECT_EQ(isa, simd::Isa::Scalar) << "'" << bad << "'";
+    }
+    for (const simd::Isa t : {simd::Isa::Scalar, simd::Isa::Avx2})
+        ASSERT_TRUE(simd::parseIsa(simd::isaName(t), isa) && isa == t);
 }
 
 TEST(KernelsIsaTest, DecayMultiply)
@@ -394,16 +410,13 @@ TEST(KernelsIsaTest, PublicEntryPointsUseActiveTable)
 namespace
 {
 
-/** Every runnable non-scalar RawOps table, by the tier that asks. */
+/** The runnable AVX2 RawOps table, by name (empty when absent). */
 std::vector<std::pair<const char *, const simd::RawOps *>>
 rawVectorTiers()
 {
     std::vector<std::pair<const char *, const simd::RawOps *>> tiers;
-    for (const simd::Isa isa : {simd::Isa::Avx2, simd::Isa::Avx512}) {
-        const simd::RawOps *t = simd::rawOpsForIsa(isa);
-        if (t != nullptr)
-            tiers.emplace_back(simd::isaName(isa), t);
-    }
+    if (const simd::RawOps *t = simd::rawOpsForIsa(simd::Isa::Avx2))
+        tiers.emplace_back(simd::isaName(simd::Isa::Avx2), t);
     return tiers;
 }
 
@@ -462,8 +475,7 @@ TEST(KernelsIsaTest, RngGaussianPairs)
 TEST(KernelsIsaTest, RngGaussianPairsMatchFill)
 {
     // Pair k's halves are gaussians 2k and 2k + 1 of the fill.
-    for (const simd::Isa isa :
-         {simd::Isa::Scalar, simd::Isa::Avx2, simd::Isa::Avx512}) {
+    for (const simd::Isa isa : {simd::Isa::Scalar, simd::Isa::Avx2}) {
         const simd::RawOps *ops = simd::rawOpsForIsa(isa);
         if (ops == nullptr)
             continue;
